@@ -5,12 +5,18 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import islice
 from typing import Sequence
 
 from .covers import cover_ideal, symbolic_power
 from .graphs import Graph
 from .monomials import Monomial, MonomialIdeal
-from .sdefect import PreconditionError, has_unique_extra_2cover, sdefect_brute
+from .sdefect import (
+    UNIQUE_EXTRA_2COVER,
+    PreconditionError,
+    has_unique_extra_2cover,
+    sdefect_brute,
+)
 
 Poly = tuple[Fraction, ...]  # coefficients, low degree first
 
@@ -188,7 +194,7 @@ def resurgence_lower_bound(G: Graph) -> Fraction:
     """Two-case lower bound on the resurgence for graphs with a unique
     extra 2-cover generator."""
     if not has_unique_extra_2cover(G):
-        raise PreconditionError("sdefect(J(G), 2) == 1")
+        raise PreconditionError(UNIQUE_EXTRA_2COVER)
     a = cover_ideal(G).alpha()
     if Fraction(G.n, 2) < a:
         return Fraction(2 * a, G.n)
@@ -227,7 +233,7 @@ class GrowthReport:
 def mu_growth_degree(I: MonomialIdeal, m_max: int = 8) -> GrowthReport:
     """Degree of the polynomial that mu(I^m) stabilizes onto for m up to
     m_max (period-1 exact fit on the tail)."""
-    values = tuple(I.power(m).mu() for m in range(1, m_max + 1))
+    values = tuple(P.mu() for P in islice(I.powers(), 1, m_max + 1))
     qp = fit_quasipolynomial(values, start=1, period=1)
     return GrowthReport(qp.degree, qp.onset, qp.tail_counts[0], values)
 
@@ -312,7 +318,7 @@ def sdefect_degree(G: Graph, m_max: int = 8) -> SdefectDegreeReport:
     Cross-checked against a period-2 fit of the actual sdefect sequence.
     """
     if not has_unique_extra_2cover(G):
-        raise PreconditionError("sdefect(J(G), 2) == 1")
+        raise PreconditionError(UNIQUE_EXTRA_2COVER)
     I = cover_ideal(G)
     quotients = [I.delete_variable(i) for i in range(G.n)]
     best = max(range(G.n), key=lambda i: quotients[i].mu())

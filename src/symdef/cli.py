@@ -20,8 +20,6 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
 
-DEFAULT_SEED = 0
-
 
 class CLIInputError(Exception):
     pass
@@ -43,6 +41,13 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_m_range(text: str) -> tuple[int, int]:
+    lo, hi = _parse_range(text)
+    if lo < 1 or hi > sdefect.MAX_M:
+        raise CLIInputError(f"m range must lie within 1..{sdefect.MAX_M}")
+    return lo, hi
+
+
 def _load_graph(args) -> graphs.Graph:
     if getattr(args, "family", None):
         try:
@@ -54,7 +59,7 @@ def _load_graph(args) -> graphs.Graph:
         raise CLIInputError("one graph source is required: --family or --graph")
     try:
         return graphs.Graph.from_json_file(path)
-    except (OSError, ValueError, KeyError) as exc:
+    except (OSError, ValueError, KeyError, TypeError) as exc:
         raise CLIInputError(f"cannot read graph from {path}: {exc}") from exc
 
 
@@ -148,9 +153,7 @@ def _is_odd_cycle(G: graphs.Graph) -> bool:
 def _cmd_sdefect(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    lo, hi = _parse_range(args.m)
-    if lo < 1 or hi > sdefect.MAX_M:
-        raise CLIInputError(f"m range must lie within 1..{sdefect.MAX_M}")
+    lo, hi = _parse_m_range(args.m)
     methods = args.method
     results, warnings = [], []
     mismatch = False
@@ -168,12 +171,12 @@ def _cmd_sdefect(args) -> int:
             except sdefect.PreconditionError as exc:
                 if methods == "recursion":
                     raise CLIInputError(str(exc)) from exc
-                if "Indecomposability" in str(exc):
-                    rep = sdefect.sdefect_recursive(G, m, unchecked=True)
-                    warnings.append(f"m={m}: {exc}; formula value reported unchecked")
-                else:
+                if exc.hypothesis == sdefect.UNIQUE_EXTRA_2COVER:
                     rep = None
                     warnings.append(f"m={m}: recursion skipped: {exc}")
+                else:
+                    rep = sdefect.sdefect_recursive(G, m, unchecked=True)
+                    warnings.append(f"m={m}: {exc}; formula value reported unchecked")
             if rep is not None:
                 per_method[rep.method] = rep.value
                 results.append({"m": m, "method": rep.method, "sdefect": rep.value, "witnesses": ""})
@@ -215,9 +218,7 @@ def _cmd_waldschmidt(args) -> int:
 def _cmd_fit(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    lo, hi = _parse_range(args.m)
-    if lo < 1 or hi > sdefect.MAX_M:
-        raise CLIInputError(f"m range must lie within 1..{sdefect.MAX_M}")
+    lo, hi = _parse_m_range(args.m)
     seq = [sdefect.sdefect_brute(G, m).value for m in range(lo, hi + 1)]
     try:
         qp = asymptotics.fit_quasipolynomial(seq, start=lo, period=args.period)
@@ -342,7 +343,6 @@ def _cmd_verify(args) -> int:
 
 def _add_common(p, graph_source=True, needs_m=False):
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.add_argument("--seed", type=int, default=DEFAULT_SEED)
     p.add_argument("--max-gens", type=int, default=None, help="generator cap override")
     if graph_source:
         src = p.add_mutually_exclusive_group()

@@ -9,7 +9,7 @@ from itertools import product as iter_product
 import numpy as np
 
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal, all_ones
+from .monomials import Monomial, MonomialIdeal
 
 ENUMERATION_BUDGET = 2_000_000
 
@@ -151,7 +151,3 @@ def indecomposability_by_membership(G: Graph, f: Monomial) -> bool:
     """Cross-validation route: a minimal 2-cover is indecomposable iff it
     lies outside the ordinary square of the cover ideal."""
     return not ordinary_power(G, 2).contains(f)
-
-
-def product_of_all_variables(G: Graph) -> Monomial:
-    return all_ones(G.n)

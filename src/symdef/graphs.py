@@ -50,9 +50,6 @@ class Graph:
             adj[j].add(i)
         return adj
 
-    def degree(self, v: int) -> int:
-        return len(self.neighbors(v))
-
     def has_isolated_vertex(self) -> bool:
         covered = {v for e in self.edges for v in e}
         return len(covered) < self.n

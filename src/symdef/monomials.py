@@ -9,6 +9,7 @@ membership) run on numpy integer arrays.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import islice
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -111,14 +112,6 @@ def unit_monomial(n: int) -> Monomial:
 def all_ones(n: int) -> Monomial:
     """The product of all n variables."""
     return Monomial((1,) * n)
-
-
-def divides(a: Monomial, b: Monomial) -> bool:
-    return a.divides(b)
-
-
-def lcm(a: Monomial, b: Monomial) -> Monomial:
-    return a.lcm(b)
 
 
 # ---------------------------------------------------------------------------
@@ -291,15 +284,19 @@ class MonomialIdeal:
         cand = (self._arr[:, None, :] + other._arr[None, :, :]).reshape(-1, self.n)
         return MonomialIdeal._from_array(self.n, cand)
 
+    def powers(self) -> Iterator["MonomialIdeal"]:
+        """I^0, I^1, I^2, ...; each power past I^1 is the previous one
+        times I, so reading up to I^k costs k-1 multiplies."""
+        yield MonomialIdeal.unit(self.n)
+        result = self
+        while True:
+            yield result
+            result = result.multiply(self)
+
     def power(self, k: int) -> "MonomialIdeal":
         if k < 0:
             raise ValueError("negative ideal power")
-        if k == 0:
-            return MonomialIdeal.unit(self.n)
-        result = self
-        for _ in range(k - 1):
-            result = result.multiply(self)
-        return result
+        return next(islice(self.powers(), k, None))
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)
@@ -319,10 +316,6 @@ class MonomialIdeal:
         return MonomialIdeal._from_array(self.n - 1, keep, minimal=True)
 
 
-# ---------------------------------------------------------------------------
-# module-level spellings of the ideal operations
-
-
 def minimalize(gens: Iterable[Monomial], n: int | None = None) -> MonomialIdeal:
     """The unique inclusion-minimal antichain generating the same ideal.
 
@@ -337,31 +330,3 @@ def minimalize(gens: Iterable[Monomial], n: int | None = None) -> MonomialIdeal:
     if n is not None and n != ambient:
         raise AmbientMismatchError(f"ambient sizes differ: {n} vs {ambient}")
     return MonomialIdeal(ambient, gens)
-
-
-def contains(I: MonomialIdeal, m: Monomial) -> bool:
-    return I.contains(m)
-
-
-def add(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    return I.add(J)
-
-
-def multiply(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    return I.multiply(J)
-
-
-def power(I: MonomialIdeal, k: int) -> MonomialIdeal:
-    return I.power(k)
-
-
-def intersect(I: MonomialIdeal, J: MonomialIdeal) -> MonomialIdeal:
-    return I.intersect(J)
-
-
-def alpha(I: MonomialIdeal) -> int:
-    return I.alpha()
-
-
-def mu(I: MonomialIdeal) -> int:
-    return I.mu()

@@ -5,7 +5,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, islice
 from typing import Callable
 
 import numpy as np
@@ -15,6 +15,9 @@ from .graphs import Graph, cycle, path, triangle_tail
 from .monomials import Monomial, MonomialIdeal, all_ones
 
 MAX_M = 12
+
+# hypothesis of the recursion, the resurgence bound and the degree prediction
+UNIQUE_EXTRA_2COVER = "sdefect(J(G), 2) == 1"
 
 
 class PreconditionError(ValueError):
@@ -61,17 +64,22 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
 
 
+def _not_divisible_count(P: MonomialIdeal, F: Monomial) -> int:
+    return sum(1 for g in P.gens if not F.divides(g))
+
+
 def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:
     """Number of minimal generators of I^m not divisible by F.
 
     The m = 0 case returns 1 (the unit generator, never divisible by a
     positive-degree F) and m = 1 returns mu(I) whenever F divides no
-    generator, matching the seeding conventions of the recursion.
+    generator, matching the seeding conventions of the recursion.  This
+    is the per-power count that `sdefect_recursive` adds up along one
+    walk of the powers of I.
     """
     if m < 0:
         raise ValueError("nu needs m >= 0")
-    P = I.power(m)
-    return sum(1 for g in P.gens if not F.divides(g))
+    return _not_divisible_count(I.power(m), F)
 
 
 @dataclass(frozen=True)
@@ -167,17 +175,28 @@ def has_unique_extra_2cover(G: Graph) -> bool:
     return sdefect_brute(G, 2).value == 1
 
 
-def _recursion_values(m: int, nu_at: Callable[[int], int]) -> int:
-    """sdefect via sdefect(m) = sdefect(m-2) + nu_at(m-2), seeded with
-    sdefect(1) = 0 and sdefect(2) = 1 (equivalently sdefect(0) = 0 and
-    nu_at(0) = 1).
+def _recursion_values(
+    I: MonomialIdeal, m: int, count: Callable[[MonomialIdeal, int], int]
+) -> int:
+    """sdefect via sdefect(m) = sdefect(m-2) + count(I^(m-2), m-2), seeded
+    with sdefect(0) = sdefect(1) = 0, i.e. the sum of count(I^k, k) over
+    k = m mod 2, m mod 2 + 2, ..., m - 2.
 
-    For graphs with a unique extra 2-cover, nu_at(k) = nu(J, k, F): the
-    generators of J^k not divisible by F.  For the odd n-cycle,
-    nu_at(k) counts the generators of S^k (S the staircase ideal) that are
-    minimal k-covers of C_n; see `sdefect_cycle`.
+    One walk of `I.powers()` supplies I^0, ..., I^(m-2), so the whole sum
+    costs m-3 multiplies for m >= 3 (none below).  The count at k = 0 is 1
+    for both callers, giving sdefect(2) = 1.
+
+    For graphs with a unique extra 2-cover, I = J and the count is
+    `nu(J, k, F)`: the generators of J^k not divisible by F.  For the odd
+    n-cycle, I = S (the staircase ideal) and the count is the number of
+    generators of S^k that are minimal k-covers of C_n; see
+    `sdefect_cycle`.
     """
-    return (1 - m % 2) + sum(nu_at(k) for k in range(2 - m % 2, m - 1, 2))
+    return sum(
+        count(P, k)
+        for k, P in enumerate(islice(I.powers(), m - 1))
+        if k % 2 == m % 2
+    )
 
 
 def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectReport:
@@ -195,7 +214,7 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
     _check_m(m)
     method = "recursion"
     if not has_unique_extra_2cover(G):
-        raise PreconditionError("sdefect(J(G), 2) == 1")
+        raise PreconditionError(UNIQUE_EXTRA_2COVER)
     if not unchecked:
         cert = check_indecomposability_conditions(G)
         if cert.condition is None:
@@ -212,7 +231,7 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
         method = "recursion-unchecked"
     I = cover_ideal(G)
     F = all_ones(G.n)
-    value = _recursion_values(m, lambda k: nu(I, k, F))
+    value = _recursion_values(I, m, lambda P, k: _not_divisible_count(P, F))
     return SdefectReport(_graph_id(G), m, value, method)
 
 
@@ -251,6 +270,9 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         sdefect(m) = sdefect(m-2) + nu(m-2),
         nu(k) = #{g in G(S^k) : g is a minimal k-cover of C_n}.
 
+    The powers S^0, ..., S^(m-2) come from one walk of `S.powers()`, each
+    one multiply past the previous (see `_recursion_values`).
+
     Rule of earlier versions: nu(k) counted only the generators of S^k
     not divisible by F, the product of all variables.  That misses the
     generators of S^k that F divides yet that are still minimal k-covers,
@@ -274,8 +296,7 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
     G = cycle(n)
-    S = staircase_ideal(n)
-    value = _recursion_values(m, lambda k: _minimal_cycle_cover_count(S.power(k), k))
+    value = _recursion_values(staircase_ideal(n), m, _minimal_cycle_cover_count)
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")
 
 

@@ -117,6 +117,15 @@ def test_verify_decomposition(capsys):
     assert all(row["pass"] for row in report["results"])
 
 
+def test_verify_classification_matches_classify2(capsys):
+    code, report, _ = run_json(capsys, "verify", "classification", "--family", "T3")
+    assert code == EXIT_OK
+    assert report["results"] and all(row["pass"] for row in report["results"])
+    _, classified, _ = run_json(capsys, "classify2", "--family", "T3")
+    kinds = [row["kind"] for row in report["results"]]
+    assert kinds == [row["kind"] for row in classified["results"]]
+
+
 def test_verify_cycle_mismatch_exits_2(capsys, monkeypatch):
     # a recursion that disagrees with brute force by one must be reported
     real = sdefect.sdefect_cycle
@@ -161,6 +170,18 @@ class TestInputErrors:
         code, _, err = run(capsys, "cover-ideal", "--graph", "/no/such/file.json")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize(
+        "text",
+        ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[1, null]]}'],
+        ids=["list", "edges-int", "null-vertex"],
+    )
+    def test_malformed_graph_json(self, capsys, tmp_path, text):
+        f = tmp_path / "g.json"
+        f.write_text(text)
+        code, _, err = run(capsys, "cover-ideal", "--graph", str(f))
+        assert code == EXIT_INPUT
+        assert err.startswith(f"error: cannot read graph from {f}")
+
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")
         assert code == EXIT_INPUT
@@ -195,8 +216,9 @@ class TestResourceCap:
 
     def test_flag_trips_cap(self, capsys, tmp_path):
         path = self._write(tmp_path, self.FRESH)
-        code, _, err = run(capsys, "cover-ideal", "--graph", path, "--max-gens", "5")
-        assert code == EXIT_RESOURCE and "cap" in err
+        for cap in ("5", "0"):
+            code, _, err = run(capsys, "cover-ideal", "--graph", path, "--max-gens", cap)
+            assert code == EXIT_RESOURCE and "cap" in err
 
     def test_env_trips_cap(self, capsys, tmp_path, monkeypatch):
         G = Graph.from_edges(

@@ -1,10 +1,12 @@
 """Symbolic defect: brute force, the two-step recursion, odd cycles,
 triangle tails, indecomposability evidence."""
+from itertools import islice
+
 import pytest
 
 from symdef.covers import cover_ideal, ordinary_power, symbolic_power
 from symdef.graphs import complete, cycle, path
-from symdef.monomials import Monomial, all_ones
+from symdef.monomials import Monomial, MonomialIdeal, all_ones
 from symdef.sdefect import (
     PreconditionError,
     check_indecomposability_conditions,
@@ -170,6 +172,26 @@ class TestOddCycles:
 
     def test_c11_recursion_at_five(self):
         assert sdefect_cycle(11, 5).value == sdefect_brute(cycle(11), 5).value == 187
+
+
+class TestPowerChain:
+    def test_powers_match_power(self):
+        I = cover_ideal(cycle(5))
+        assert list(islice(I.powers(), 5)) == [I.power(k) for k in range(5)]
+
+    def test_cycle_recursion_walks_one_chain(self, monkeypatch):
+        calls = []
+        real = MonomialIdeal.multiply
+
+        def counting(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        monkeypatch.setattr(MonomialIdeal, "multiply", counting)
+        rep = sdefect_cycle(7, 8)
+        # one chain S^0, ..., S^6, not each S^k rebuilt (9 multiplies)
+        assert len(calls) <= 8 - 2
+        assert rep.value == sdefect_brute(cycle(7), 8).value
 
 
 class TestTriangleTail:
