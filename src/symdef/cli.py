@@ -8,7 +8,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from fractions import Fraction
@@ -395,15 +394,8 @@ def main(argv=None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    cap = args.max_gens
-    if cap is None and os.environ.get("SYMDEF_MAX_GENS"):
-        try:
-            cap = int(os.environ["SYMDEF_MAX_GENS"])
-        except ValueError:
-            print("error: SYMDEF_MAX_GENS is not an integer", file=sys.stderr)
-            return EXIT_INPUT
-    if cap is not None:
-        monomials.set_generator_cap(cap)
+    if args.max_gens is not None:
+        monomials.set_generator_cap(args.max_gens)
     try:
         return args.func(args)
     except CLIInputError as exc:

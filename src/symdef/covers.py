@@ -29,7 +29,7 @@ def _edge_power(n: int, i: int, j: int, m: int) -> MonomialIdeal:
     rows = np.zeros((m + 1, n), dtype=np.int64)
     rows[:, i] = np.arange(m, -1, -1)
     rows[:, j] = np.arange(0, m + 1)
-    return MonomialIdeal._from_array(n, rows, minimal=True)
+    return MonomialIdeal._from_array(n, rows)
 
 
 @lru_cache(maxsize=None)

@@ -17,6 +17,13 @@ class GraphTooLargeError(RuntimeError):
     """Exhaustive cycle enumeration refused beyond the vertex budget."""
 
 
+def _json_int(value) -> int:
+    """A JSON integer as is; a bool, float, string or null is refused."""
+    if type(value) is not int:
+        raise ValueError(f"expected an integer, got {json.dumps(value)}")
+    return value
+
+
 @dataclass(frozen=True)
 class Graph:
     n: int
@@ -148,8 +155,10 @@ class Graph:
     @classmethod
     def from_json(cls, text: str) -> "Graph":
         data = json.loads(text)
-        n = int(data["n"])
-        edges = {(int(i) - 1, int(j) - 1) for i, j in data["edges"]}
+        n = _json_int(data["n"])
+        if n < 1:
+            raise ValueError(f"graph needs n >= 1, got {n}")
+        edges = {(_json_int(i) - 1, _json_int(j) - 1) for i, j in data["edges"]}
         return cls.from_edges(n, edges)
 
     @classmethod

@@ -1,8 +1,9 @@
 """Exact monomial and monomial-ideal arithmetic.
 
 Monomials are exponent vectors over a fixed ambient variable count n.
-Ideals always store their unique minimal generating set, sorted in
-graded lexicographic order, so ideal equality is plain sequence equality.
+Ideals always store their unique minimal generating set, sorted by degree
+ascending, then by exponent tuple descending (the order `_minimal_rows`
+sets), so ideal equality is plain sequence equality.
 The hot paths (minimalization, pairwise lcm/product generation,
 membership) run on numpy integer arrays.
 """
@@ -118,26 +119,36 @@ def all_ones(n: int) -> Monomial:
 # array kernel
 
 
-def _minimal_rows(arr: np.ndarray) -> np.ndarray:
-    """Reduce rows to the divisibility antichain of minimal elements.
+def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
+    """For each row of `rows`, whether some row of `gens` divides it.
 
-    Rows are exponent vectors; row a "divides" row b when a <= b
-    componentwise.  Sorting by total degree first means any divisor of a
-    candidate is already in the kept prefix.
+    Rows are exponent vectors; row a divides row b when a <= b
+    componentwise.
+    """
+    return np.array([(gens <= row).all(axis=1).any() for row in rows], dtype=bool)
+
+
+def _minimal_rows(arr: np.ndarray) -> np.ndarray:
+    """Reduce rows to the divisibility antichain of minimal elements, in
+    canonical order: degree ascending, then exponent tuple descending.
+
+    A row can be divided only by a row of strictly lower degree, and if
+    it is, then also by a minimal one, so each degree layer is tested
+    against the rows kept from the layers below it.
     """
     if arr.shape[0] == 0:
         return arr
-    arr = np.unique(arr, axis=0)
-    order = np.argsort(arr.sum(axis=1), kind="stable")
-    arr = arr[order]
-    kept = np.empty_like(arr)
-    k = 0
-    for row in arr:
-        if k and bool((kept[:k] <= row).all(axis=1).any()):
-            continue
-        kept[k] = row
-        k += 1
-    return kept[:k].copy()
+    deg = arr.sum(axis=1)
+    order = np.lexsort(np.vstack([-arr[:, ::-1].T, deg]))
+    arr, deg = arr[order], deg[order]
+    fresh = np.ones(arr.shape[0], dtype=bool)
+    fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    arr, deg = arr[fresh], deg[fresh]
+    layers = np.split(arr, np.flatnonzero(np.diff(deg)) + 1)
+    kept = layers[0]
+    for layer in layers[1:]:
+        kept = np.vstack([kept, layer[~_divisible(kept, layer)]])
+    return kept
 
 
 def _check_cap(count: int) -> None:
@@ -163,24 +174,16 @@ class MonomialIdeal:
                     f"generator of length {len(exps)} in ambient of size {n}"
                 )
             rows.append(exps)
-        arr = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-        self._init_from(n, _minimal_rows(arr))
+        self._init_from(n, np.array(rows, dtype=np.int64).reshape(len(rows), n))
 
     def _init_from(self, n: int, arr: np.ndarray) -> None:
-        order = sorted(
-            range(arr.shape[0]),
-            key=lambda i: (int(arr[i].sum()), tuple(-e for e in arr[i])),
-        )
-        arr = arr[order] if arr.shape[0] else arr
         self.n = n
-        self._arr = arr
-        self.gens = tuple(Monomial(tuple(int(e) for e in row)) for row in arr)
+        self._arr = _minimal_rows(arr)
+        self.gens = tuple(map(Monomial, self._arr.tolist()))
 
     @classmethod
-    def _from_array(cls, n: int, arr: np.ndarray, minimal: bool = False) -> "MonomialIdeal":
+    def _from_array(cls, n: int, arr: np.ndarray) -> "MonomialIdeal":
         self = object.__new__(cls)
-        if not minimal:
-            arr = _minimal_rows(arr)
         self._init_from(n, arr)
         return self
 
@@ -229,22 +232,15 @@ class MonomialIdeal:
     # -- membership
 
     def contains(self, m: Monomial) -> bool:
-        if m.n != self.n:
-            raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {m.n}")
-        if not self.gens:
-            return False
-        row = np.asarray(m.exps, dtype=np.int64)
-        return bool((self._arr <= row).all(axis=1).any())
+        return bool(self.contains_each([m])[0])
 
     def contains_each(self, monomials: Sequence[Monomial]) -> np.ndarray:
         """Vectorized membership test, one boolean per query monomial."""
-        out = np.zeros(len(monomials), dtype=bool)
-        if not self.gens:
-            return out
-        for i, m in enumerate(monomials):
-            row = np.asarray(m.exps, dtype=np.int64)
-            out[i] = bool((self._arr <= row).all(axis=1).any())
-        return out
+        for m in monomials:
+            if m.n != self.n:
+                raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {m.n}")
+        rows = np.array([m.exps for m in monomials], dtype=np.int64)
+        return _divisible(self._arr, rows.reshape(len(monomials), self.n))
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of `other` lies in this ideal."""
@@ -313,7 +309,7 @@ class MonomialIdeal:
             raise ValueError(f"variable index {i} out of range")
         keep = self._arr[self._arr[:, i] == 0]
         keep = np.delete(keep, i, axis=1)
-        return MonomialIdeal._from_array(self.n - 1, keep, minimal=True)
+        return MonomialIdeal._from_array(self.n - 1, keep)
 
 
 def minimalize(gens: Iterable[Monomial], n: int | None = None) -> MonomialIdeal:

@@ -172,15 +172,29 @@ class TestInputErrors:
 
     @pytest.mark.parametrize(
         "text",
-        ["[1, 2]", '{"n": 3, "edges": 5}', '{"n": 3, "edges": [[1, null]]}'],
-        ids=["list", "edges-int", "null-vertex"],
+        [
+            "[1, 2]",
+            '{"n": 3, "edges": 5}',
+            '{"n": 3, "edges": [[1, null]]}',
+            '{"n": 2.7, "edges": []}',
+            '{"n": true, "edges": []}',
+            '{"n": "3", "edges": []}',
+            '{"n": 3, "edges": [[1.9, 2]]}',
+            '{"n": 3, "edges": [[true, 2]]}',
+            '{"n": 0, "edges": []}',
+        ],
+        ids=[
+            "list", "edges-int", "null-vertex", "n-float", "n-bool", "n-string",
+            "float-vertex", "bool-vertex", "n-zero",
+        ],
     )
     def test_malformed_graph_json(self, capsys, tmp_path, text):
         f = tmp_path / "g.json"
         f.write_text(text)
-        code, _, err = run(capsys, "cover-ideal", "--graph", str(f))
-        assert code == EXIT_INPUT
-        assert err.startswith(f"error: cannot read graph from {f}")
+        for command in ("cover-ideal", "classify2"):
+            code, _, err = run(capsys, command, "--graph", str(f))
+            assert code == EXIT_INPUT
+            assert err.startswith(f"error: cannot read graph from {f}")
 
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")
@@ -219,26 +233,3 @@ class TestResourceCap:
         for cap in ("5", "0"):
             code, _, err = run(capsys, "cover-ideal", "--graph", path, "--max-gens", cap)
             assert code == EXIT_RESOURCE and "cap" in err
-
-    def test_env_trips_cap(self, capsys, tmp_path, monkeypatch):
-        G = Graph.from_edges(
-            7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (1, 4)]
-        )
-        monkeypatch.setenv("SYMDEF_MAX_GENS", "5")
-        code, _, _ = run(capsys, "cover-ideal", "--graph", self._write(tmp_path, G))
-        assert code == EXIT_RESOURCE
-
-    def test_flag_wins_over_env(self, capsys, tmp_path, monkeypatch):
-        G = Graph.from_edges(
-            7, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 6), (6, 0), (2, 5)]
-        )
-        monkeypatch.setenv("SYMDEF_MAX_GENS", "5")
-        code, _, _ = run(
-            capsys, "cover-ideal", "--graph", self._write(tmp_path, G), "--max-gens", "100000"
-        )
-        assert code == EXIT_OK
-
-    def test_bad_env_value(self, capsys, monkeypatch):
-        monkeypatch.setenv("SYMDEF_MAX_GENS", "lots")
-        code, _, _ = run(capsys, "cover-ideal", "--family", "K3")
-        assert code == EXIT_INPUT

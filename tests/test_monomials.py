@@ -69,7 +69,7 @@ class TestMinimalize:
 
     def test_canonical_order_is_graded_lex(self):
         I = MonomialIdeal(2, [M(0, 2), M(1, 0)])
-        # degree first, then lexicographic on exponent tuples
+        # degree ascending, then exponent tuple descending
         assert I.gens == (M(1, 0), M(0, 2))
 
     def test_empty_needs_ambient(self):
@@ -102,6 +102,12 @@ class TestMembership:
         J = MonomialIdeal(2, [M(2, 1), M(3, 0)])
         assert I.contains_ideal(J)
         assert not J.contains_ideal(I)
+
+    @pytest.mark.parametrize("query", [(5,), (5, 5)], ids=["one-long", "two-long"])
+    def test_contains_each_checks_ambient(self, query):
+        I = MonomialIdeal(3, [M(1, 1, 1)])
+        with pytest.raises(AmbientMismatchError):
+            I.contains_each([M(2, 2, 2), Monomial(query)])
 
 
 class TestArithmetic:

@@ -40,6 +40,20 @@ def test_minimalization_idempotent(I):
     assert MonomialIdeal(N_VARS, I.gens) == I
 
 
+@given(st.lists(monomials, max_size=8))
+def test_kernel_matches_pure_python_oracle(gens):
+    distinct = set(gens)
+    minimal = [g for g in distinct if not any(h != g and h.divides(g) for h in distinct)]
+    minimal.sort(key=lambda g: (g.degree, tuple(-e for e in g.exps)))
+    assert MonomialIdeal(N_VARS, gens).gens == tuple(minimal)
+
+
+@given(ideals, st.lists(monomials, max_size=8))
+def test_contains_each_matches_pure_python_oracle(I, qs):
+    expected = [any(g.divides(q) for g in I.gens) for q in qs]
+    assert I.contains_each(qs).tolist() == expected
+
+
 @given(ideals, monomials)
 def test_membership_means_divisibility(I, m):
     assert I.contains(m) == any(g.divides(m) for g in I.gens)
