@@ -12,9 +12,14 @@ from typing import Iterable, Iterator
 
 MAX_ODD_CYCLE_VERTICES = 14
 
+# Every graph is refused above this many vertices.  Each generator of an
+# ideal on the graph is an n-wide row, and the largest graphs in the
+# tests, the README and the benchmark have 15 vertices.
+MAX_VERTICES = 100
+
 
 class GraphTooLargeError(RuntimeError):
-    """Exhaustive cycle enumeration refused beyond the vertex budget."""
+    """A graph or a computation on it exceeds a vertex budget."""
 
 
 def _json_int(value) -> int:
@@ -30,6 +35,10 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n > MAX_VERTICES:
+            raise GraphTooLargeError(
+                f"{self.n} vertices: graphs are limited to {MAX_VERTICES}"
+            )
         norm = set()
         for e in self.edges:
             i, j = e
@@ -42,7 +51,8 @@ class Graph:
 
     @classmethod
     def from_edges(cls, n: int, edges: Iterable[tuple[int, int]]) -> "Graph":
-        return cls(n, frozenset((min(i, j), max(i, j)) for i, j in edges))
+        # __post_init__ checks n before it draws an edge and normalizes them
+        return cls(n, edges)
 
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)

@@ -4,8 +4,13 @@ Monomials are exponent vectors over a fixed ambient variable count n.
 Ideals always store their unique minimal generating set, sorted by degree
 ascending, then by exponent tuple descending (the order `_minimal_rows`
 sets), so ideal equality is plain sequence equality.
-The hot paths (minimalization, pairwise lcm/product generation,
-membership) run on numpy integer arrays.
+Pairwise lcm/product generation runs on int64 numpy arrays.  Every
+stored row obeys max exponent * n <= EXPONENT_BOUND, so a degree sum
+never wraps.  Divisibility, in minimalization and membership, runs on
+packed uint64 words: each exponent takes a field of bit_length(max) + 1
+bits whose top bit is a guard, so one subtraction per word compares
+every field of the word at once, and rows too wide for one word take
+several.
 """
 from __future__ import annotations
 
@@ -18,9 +23,25 @@ import numpy as np
 _DEFAULT_GENERATOR_CAP = 200_000
 _generator_cap = _DEFAULT_GENERATOR_CAP
 
+# Bound on max exponent * n for every stored row: degree sums fit int64.
+EXPONENT_BOUND = 2**63 - 1
+
+# Largest uint64 block one divisibility comparison materializes.
+_BLOCK_WORDS = 1 << 16
+
 
 class AmbientMismatchError(ValueError):
     """Two values live in polynomial rings with different variable counts."""
+
+
+class ExponentBoundError(ValueError):
+    """An exponent vector would break max exponent * n <= EXPONENT_BOUND."""
+
+    def __init__(self, max_exponent: int, n: int):
+        super().__init__(
+            f"exponent {max_exponent} in {n} variables breaks the bound"
+            f" max exponent * n <= 2**63 - 1"
+        )
 
 
 class ZeroIdealError(ValueError):
@@ -106,6 +127,17 @@ class Monomial:
         return "*".join(parts) if parts else "1"
 
 
+_set_exps = Monomial.exps.__set__
+
+
+def _row_monomial(row: list[int]) -> Monomial:
+    """A Monomial from a kernel row, whose entries are non-negative Python
+    ints already, so `Monomial.__post_init__` is skipped."""
+    g = object.__new__(Monomial)
+    _set_exps(g, tuple(row))
+    return g
+
+
 def unit_monomial(n: int) -> Monomial:
     return Monomial((0,) * n)
 
@@ -119,13 +151,55 @@ def all_ones(n: int) -> Monomial:
 # array kernel
 
 
-def _divisible(gens: np.ndarray, rows: np.ndarray) -> np.ndarray:
-    """For each row of `rows`, whether some row of `gens` divides it.
+def _check_exponent_bound(max_exponent: int, n: int) -> None:
+    if max_exponent * n > EXPONENT_BOUND:
+        raise ExponentBoundError(max_exponent, n)
 
-    Rows are exponent vectors; row a divides row b when a <= b
-    componentwise.
+
+def _pack(arr: np.ndarray) -> tuple[np.ndarray, np.uint64]:
+    """Pack the rows of a non-negative int64 array into uint64 words.
+
+    Each exponent takes a field of bits = bit_length(max) + 1 bits, the
+    value in the low bits and a guard in the top bit; a word holds
+    64 // bits fields and a row takes as many words as it needs.  Returns
+    the words with shape (words per row, rows), packed column by column,
+    and the guard mask of one word.
     """
-    return np.array([(gens <= row).all(axis=1).any() for row in rows], dtype=bool)
+    rows, n = arr.shape
+    bits = int(arr.max(initial=0)).bit_length() + 1
+    per_word = 64 // bits
+    words = np.zeros((max(1, -(-n // per_word)), rows), dtype=np.uint64)
+    cols = arr.view(np.uint64)
+    for j in range(n):
+        words[j // per_word] |= cols[:, j] << np.uint64(j % per_word * bits)
+    ones = ((1 << per_word * bits) - 1) // ((1 << bits) - 1)
+    return words, np.uint64(ones << (bits - 1))
+
+
+def _divisible(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarray:
+    """For each packed row of `rows`, whether some packed row of `gens`
+    divides it (both from one `_pack`, one column per row).
+
+    Row a divides row b when a <= b in every field.  With the guard bit
+    set in each field of b, the subtraction (b | guard) - a borrows
+    inside a field only, and leaves that field's guard set iff the
+    field of b is at least that of a; a divides b iff every guard
+    survives in every word.  Rows are tested in blocks of at most
+    _BLOCK_WORDS words (or one row against all gens, if larger).
+    """
+    out = np.zeros(rows.shape[1], dtype=bool)
+    if gens.shape[1] == 0:
+        return out
+    lifted = rows | guard
+    step = max(1, _BLOCK_WORDS // gens.shape[1])
+    for lo in range(0, rows.shape[1], step):
+        block = lifted[:, lo : lo + step, None]
+        acc = block[0] - gens[0]
+        for k in range(1, gens.shape[0]):
+            acc &= block[k] - gens[k]
+        acc &= guard
+        out[lo : lo + step] = (acc == guard).any(axis=1)
+    return out
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
@@ -134,7 +208,8 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
 
     A row can be divided only by a row of strictly lower degree, and if
     it is, then also by a minimal one, so each degree layer is tested
-    against the rows kept from the layers below it.
+    against the rows kept from the layers below it.  Rows must be
+    non-negative and obey EXPONENT_BOUND.
     """
     if arr.shape[0] == 0:
         return arr
@@ -144,11 +219,20 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     fresh = np.ones(arr.shape[0], dtype=bool)
     fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
     arr, deg = arr[fresh], deg[fresh]
-    layers = np.split(arr, np.flatnonzero(np.diff(deg)) + 1)
-    kept = layers[0]
-    for layer in layers[1:]:
-        kept = np.vstack([kept, layer[~_divisible(kept, layer)]])
-    return kept
+    starts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
+    if not starts:
+        return arr
+    words, guard = _pack(arr)
+    # kept rows are moved to the front of `words`, so words[:, :top] is
+    # the packed antichain so far
+    keep = np.ones(arr.shape[0], dtype=bool)
+    top = starts[0]
+    for lo, hi in zip(starts, starts[1:] + [arr.shape[0]]):
+        keep[lo:hi] = ~_divisible(words[:, :top], words[:, lo:hi], guard)
+        moved = words[:, lo:hi][:, keep[lo:hi]]
+        words[:, top : top + moved.shape[1]] = moved
+        top += moved.shape[1]
+    return arr[keep]
 
 
 def _check_cap(count: int) -> None:
@@ -173,13 +257,17 @@ class MonomialIdeal:
                 raise AmbientMismatchError(
                     f"generator of length {len(exps)} in ambient of size {n}"
                 )
+            if exps:
+                if min(exps) < 0:
+                    raise ValueError(f"negative exponent in {exps}")
+                _check_exponent_bound(max(exps), n)
             rows.append(exps)
         self._init_from(n, np.array(rows, dtype=np.int64).reshape(len(rows), n))
 
     def _init_from(self, n: int, arr: np.ndarray) -> None:
         self.n = n
         self._arr = _minimal_rows(arr)
-        self.gens = tuple(map(Monomial, self._arr.tolist()))
+        self.gens = tuple(map(_row_monomial, self._arr.tolist()))
 
     @classmethod
     def _from_array(cls, n: int, arr: np.ndarray) -> "MonomialIdeal":
@@ -240,7 +328,10 @@ class MonomialIdeal:
             if m.n != self.n:
                 raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {m.n}")
         rows = np.array([m.exps for m in monomials], dtype=np.int64)
-        return _divisible(self._arr, rows.reshape(len(monomials), self.n))
+        both = np.vstack([self._arr, rows.reshape(len(monomials), self.n)])
+        words, guard = _pack(both)
+        k = self._arr.shape[0]
+        return _divisible(words[:, :k], words[:, k:], guard)
 
     def contains_ideal(self, other: "MonomialIdeal") -> bool:
         """True iff every generator of `other` lies in this ideal."""
@@ -276,8 +367,11 @@ class MonomialIdeal:
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        _check_cap(len(self.gens) * len(other.gens))
-        cand = (self._arr[:, None, :] + other._arr[None, :, :]).reshape(-1, self.n)
+        count = len(self.gens) * len(other.gens)
+        _check_cap(count)
+        top = int(self._arr.max(initial=0)) + int(other._arr.max(initial=0))
+        _check_exponent_bound(top, self.n)
+        cand = (self._arr[:, None, :] + other._arr[None, :, :]).reshape(count, self.n)
         return MonomialIdeal._from_array(self.n, cand)
 
     def powers(self) -> Iterator["MonomialIdeal"]:
@@ -298,8 +392,9 @@ class MonomialIdeal:
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        _check_cap(len(self.gens) * len(other.gens))
-        cand = np.maximum(self._arr[:, None, :], other._arr[None, :, :]).reshape(-1, self.n)
+        count = len(self.gens) * len(other.gens)
+        _check_cap(count)
+        cand = np.maximum(self._arr[:, None, :], other._arr[None, :, :]).reshape(count, self.n)
         return MonomialIdeal._from_array(self.n, cand)
 
     def delete_variable(self, i: int) -> "MonomialIdeal":

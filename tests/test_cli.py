@@ -6,7 +6,7 @@ import pytest
 
 from symdef import monomials, sdefect
 from symdef.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, main
-from symdef.graphs import Graph
+from symdef.graphs import MAX_VERTICES, Graph
 
 
 @pytest.fixture(autouse=True)
@@ -195,6 +195,19 @@ class TestInputErrors:
             code, _, err = run(capsys, command, "--graph", str(f))
             assert code == EXIT_INPUT
             assert err.startswith(f"error: cannot read graph from {f}")
+
+    @pytest.mark.parametrize("n", [MAX_VERTICES + 1, 300_000])
+    def test_graph_file_past_vertex_bound(self, capsys, tmp_path, n):
+        f = tmp_path / "g.json"
+        f.write_text(json.dumps({"n": n, "edges": [[1, 2]]}))
+        code, out, err = run(capsys, "cover-ideal", "--graph", str(f))
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {n} vertices: graphs are limited to {MAX_VERTICES}\n"
+
+    def test_family_past_vertex_bound(self, capsys):
+        code, out, err = run(capsys, "cover-ideal", "--family", f"K{MAX_VERTICES + 1}")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: {MAX_VERTICES + 1} vertices")
 
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")

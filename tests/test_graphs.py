@@ -2,6 +2,7 @@
 import pytest
 
 from symdef.graphs import (
+    MAX_VERTICES,
     Graph,
     GraphTooLargeError,
     complete,
@@ -73,6 +74,14 @@ def test_odd_cycles():
 def test_odd_cycle_budget():
     with pytest.raises(GraphTooLargeError):
         cycle(15).odd_cycles()
+
+
+def test_vertex_bound():
+    assert Graph.from_edges(MAX_VERTICES, [(0, 1)]).n == MAX_VERTICES
+    with pytest.raises(GraphTooLargeError):
+        Graph(MAX_VERTICES + 1, frozenset())
+    with pytest.raises(GraphTooLargeError):
+        parse_family("K100000")  # refused before any edge is drawn
 
 
 def test_every_vertex_adjacent_to_every_odd_cycle():

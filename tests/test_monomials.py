@@ -5,6 +5,7 @@ from symdef.covers import cover_ideal
 from symdef.graphs import complete
 from symdef.monomials import (
     AmbientMismatchError,
+    ExponentBoundError,
     GeneratorCapExceeded,
     Monomial,
     MonomialIdeal,
@@ -146,6 +147,25 @@ class TestArithmetic:
         Q = I.delete_variable(0)
         assert Q.n == 2
         assert Q.gens == (M(1, 1), M(0, 2))
+
+
+class TestExponentBound:
+    def test_construction_refuses_rows_past_the_bound(self):
+        # 2^62 * 2 > 2^63 - 1: the degree sum would wrap in int64
+        with pytest.raises(ExponentBoundError, match="2\\*\\*63 - 1"):
+            MonomialIdeal(2, [(2**62, 2**62), (1, 0)])
+
+    def test_rows_at_the_bound_minimalize(self):
+        assert MonomialIdeal(2, [(2**62 - 1, 2**62 - 1), (1, 0)]).gens == (M(1, 0),)
+
+    def test_multiply_checks_before_adding(self):
+        with pytest.raises(ExponentBoundError, match="2\\*\\*63 - 1"):
+            MonomialIdeal(1, [(2**62,)]).power(2)
+        assert MonomialIdeal(1, [(2**62 - 1,)]).power(2).gens == (M(2**63 - 2),)
+
+    def test_negative_row_rejected(self):
+        with pytest.raises(ValueError, match="negative exponent"):
+            MonomialIdeal(2, [(0, 0), (-1, 0)])
 
 
 class TestInvariants:

@@ -1,11 +1,12 @@
 """Property-based checks of the algebraic laws and the containment
 relations between ordinary and symbolic powers."""
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdef.covers import cover_ideal, ordinary_power, symbolic_power
 from symdef.graphs import Graph
-from symdef.monomials import Monomial, MonomialIdeal, all_ones
+from symdef.monomials import EXPONENT_BOUND, Monomial, MonomialIdeal, all_ones
 
 N_VARS = 4
 
@@ -14,6 +15,30 @@ monomials = st.tuples(*[exponents] * N_VARS).map(Monomial)
 ideals = st.lists(monomials, min_size=1, max_size=6).map(
     lambda gens: MonomialIdeal(N_VARS, gens)
 )
+
+
+@st.composite
+def wide_cases(draw):
+    """(n, generators, queries) with n in 0..20 and exponents drawn from
+    a few values at bit-width edges (0, 2^k - 1, 2^k) up to the largest
+    that EXPONENT_BOUND allows in n variables, so that packed rows take
+    one word or many and fields reach their guard bits."""
+    n = draw(st.integers(min_value=0, max_value=20))
+    top = EXPONENT_BOUND // max(n, 1)
+    edges = sorted({v for k in range(63) for v in (2**k - 1, 2**k) if v <= top} | {top})
+    palette = [0] + draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3))
+    rows = st.lists(st.sampled_from(palette), min_size=n, max_size=n).map(tuple)
+    gens = draw(st.lists(rows, max_size=8))
+    queries = draw(st.lists(rows, max_size=8))
+    return n, gens, queries
+
+
+def oracle_minimal(gens):
+    """Minimal generators in canonical order, by pairwise Python checks."""
+    distinct = set(gens)
+    minimal = [g for g in distinct if not any(h != g and h.divides(g) for h in distinct)]
+    minimal.sort(key=lambda g: (g.degree, tuple(-e for e in g.exps)))
+    return tuple(minimal)
 
 
 @st.composite
@@ -42,16 +67,33 @@ def test_minimalization_idempotent(I):
 
 @given(st.lists(monomials, max_size=8))
 def test_kernel_matches_pure_python_oracle(gens):
-    distinct = set(gens)
-    minimal = [g for g in distinct if not any(h != g and h.divides(g) for h in distinct)]
-    minimal.sort(key=lambda g: (g.degree, tuple(-e for e in g.exps)))
-    assert MonomialIdeal(N_VARS, gens).gens == tuple(minimal)
+    assert MonomialIdeal(N_VARS, gens).gens == oracle_minimal(gens)
 
 
 @given(ideals, st.lists(monomials, max_size=8))
 def test_contains_each_matches_pure_python_oracle(I, qs):
     expected = [any(g.divides(q) for g in I.gens) for q in qs]
     assert I.contains_each(qs).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(wide_cases())
+def test_packed_words_match_pure_python_oracle(case):
+    n, gens, queries = case
+    gens = [Monomial(g) for g in gens]
+    queries = [Monomial(q) for q in queries]
+    I = MonomialIdeal(n, gens)
+    assert I.gens == oracle_minimal(gens)
+    expected = [any(g.divides(q) for g in gens) for q in queries]
+    assert I.contains_each(queries).tolist() == expected
+
+
+@pytest.mark.parametrize("gens, inside", [([()], True), ([], False)], ids=["unit", "zero"])
+def test_no_variables(gens, inside):
+    I = MonomialIdeal(0, gens)
+    assert I.contains_each([Monomial(())]).tolist() == [inside]
+    assert I.multiply(I) == I
+    assert I.intersect(I) == I
 
 
 @given(ideals, monomials)
