@@ -394,6 +394,7 @@ def main(argv=None) -> int:
     except CLIInputError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    previous_cap = monomials.get_generator_cap()
     if args.max_gens is not None:
         monomials.set_generator_cap(args.max_gens)
     try:
@@ -407,6 +408,8 @@ def main(argv=None) -> int:
     except (sdefect.PreconditionError, graphs.GraphTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
+    finally:
+        monomials.set_generator_cap(previous_cap)
 
 
 if __name__ == "__main__":  # pragma: no cover

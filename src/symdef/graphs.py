@@ -8,18 +8,16 @@ from __future__ import annotations
 import json
 import re
 from dataclasses import dataclass
-from typing import Iterable, Iterator
-
-MAX_ODD_CYCLE_VERTICES = 14
+from typing import Iterable
 
 # Every graph is refused above this many vertices.  Each generator of an
-# ideal on the graph is an n-wide row, and the largest graphs in the
-# tests, the README and the benchmark have 15 vertices.
+# ideal on the graph is an n-wide row, and the largest graphs whose
+# ideals the tests, the README and the benchmark build have 15 vertices.
 MAX_VERTICES = 100
 
 
 class GraphTooLargeError(RuntimeError):
-    """A graph or a computation on it exceeds a vertex budget."""
+    """A graph has more than MAX_VERTICES vertices."""
 
 
 def _json_int(value) -> int:
@@ -108,53 +106,20 @@ class Graph:
     def is_bipartite(self) -> bool:
         return self.two_coloring() is not None
 
-    # -- cycle machinery
-
-    def simple_cycles(self) -> Iterator[tuple[int, ...]]:
-        """All simple cycles, each yielded once as a vertex tuple.
-
-        Canonical form: the cycle starts at its smallest vertex and its
-        second vertex is smaller than its last.  Exponential in general,
-        intended for small graphs only.
-        """
-        adj = self.adjacency()
-
-        def extend(root: int, path: list[int], on_path: set[int]):
-            v = path[-1]
-            for w in sorted(adj[v]):
-                if w == root and len(path) >= 3:
-                    if path[1] < path[-1]:
-                        yield tuple(path)
-                elif w > root and w not in on_path:
-                    path.append(w)
-                    on_path.add(w)
-                    yield from extend(root, path, on_path)
-                    on_path.discard(w)
-                    path.pop()
-
-        for root in range(self.n):
-            yield from extend(root, [root], {root})
-
-    def odd_cycles(self) -> list[tuple[int, ...]]:
-        if self.n > MAX_ODD_CYCLE_VERTICES:
-            raise GraphTooLargeError(
-                f"{self.n} vertices: too large for exhaustive odd-cycle enumeration"
-                f" (budget {MAX_ODD_CYCLE_VERTICES})"
-            )
-        return [c for c in self.simple_cycles() if len(c) % 2 == 1]
-
     def every_vertex_adjacent_to_every_odd_cycle(self) -> bool:
         """True iff each vertex has a neighbor on every odd cycle.
 
-        A vertex lying on a cycle counts as adjacent to it (its two cycle
-        neighbors are on the cycle), so the check reduces to: the
-        neighborhood of each odd cycle's vertex set is the whole graph.
+        A vertex on a cycle counts as adjacent to it, through its two
+        cycle neighbors.  So an odd cycle with no vertex in N(v) cannot
+        pass through v, and v misses some odd cycle iff G - N[v] is not
+        bipartite: one 2-coloring per vertex, O(n (n + e)) in all.
         """
+        adj = self.adjacency()
         everything = set(range(self.n))
-        for cycle in self.odd_cycles():
-            if self.neighbors_of_set(cycle) != everything:
-                return False
-        return True
+        return all(
+            self.induced_subgraph(everything - adj[v] - {v}).is_bipartite()
+            for v in range(self.n)
+        )
 
     # -- serialization
 

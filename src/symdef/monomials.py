@@ -323,11 +323,18 @@ class MonomialIdeal:
         return bool(self.contains_each([m])[0])
 
     def contains_each(self, monomials: Sequence[Monomial]) -> np.ndarray:
-        """Vectorized membership test, one boolean per query monomial."""
+        """Vectorized membership test, one boolean per query monomial.
+
+        Query exponents are clipped to the largest generator exponent,
+        which keeps every answer and keeps huge queries within int64.
+        """
+        top = int(self._arr.max(initial=0))
+        clipped = []
         for m in monomials:
             if m.n != self.n:
                 raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {m.n}")
-        rows = np.array([m.exps for m in monomials], dtype=np.int64)
+            clipped.append([min(e, top) for e in m.exps])
+        rows = np.array(clipped, dtype=np.int64)
         both = np.vstack([self._arr, rows.reshape(len(monomials), self.n)])
         words, guard = _pack(both)
         k = self._arr.shape[0]

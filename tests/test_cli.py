@@ -246,3 +246,9 @@ class TestResourceCap:
         for cap in ("5", "0"):
             code, _, err = run(capsys, "cover-ideal", "--graph", path, "--max-gens", cap)
             assert code == EXIT_RESOURCE and "cap" in err
+
+    def test_flag_does_not_outlive_the_call(self, capsys):
+        run(capsys, "cover-ideal", "--family", "C5", "--max-gens", "0")
+        # an uncached product of 4 candidates would trip a leftover cap of 0
+        I = monomials.MonomialIdeal(2, [(1, 0), (0, 1)])
+        assert I.power(2).mu() == 3

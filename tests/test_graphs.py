@@ -57,25 +57,6 @@ def test_bipartiteness():
     assert not complete(3).is_bipartite()
 
 
-def test_simple_cycles_of_k4():
-    cycles = list(complete(4).simple_cycles())
-    # K4 has four triangles and three 4-cycles, each listed once
-    assert len(cycles) == 7
-    assert len({len(c) for c in cycles} - {3, 4}) == 0
-    assert len(set(cycles)) == 7
-
-
-def test_odd_cycles():
-    assert cycle(5).odd_cycles() == [(0, 1, 2, 3, 4)]
-    assert cycle(6).odd_cycles() == []
-    assert len(complete(4).odd_cycles()) == 4
-
-
-def test_odd_cycle_budget():
-    with pytest.raises(GraphTooLargeError):
-        cycle(15).odd_cycles()
-
-
 def test_vertex_bound():
     assert Graph.from_edges(MAX_VERTICES, [(0, 1)]).n == MAX_VERTICES
     with pytest.raises(GraphTooLargeError):
@@ -94,6 +75,32 @@ def test_every_vertex_adjacent_to_every_odd_cycle():
     assert not H.every_vertex_adjacent_to_every_odd_cycle()
     # bipartite graphs pass vacuously
     assert cycle(4).every_vertex_adjacent_to_every_odd_cycle()
+
+
+def test_odd_cycle_adjacency_past_fourteen_vertices():
+    assert cycle(15).every_vertex_adjacent_to_every_odd_cycle()
+    assert complete(30).every_vertex_adjacent_to_every_odd_cycle()
+    # a 2-edge pendant path off C15: its far end misses the whole cycle
+    G = Graph.from_edges(17, list(cycle(15).edges) + [(0, 15), (15, 16)])
+    assert not G.every_vertex_adjacent_to_every_odd_cycle()
+
+
+def test_odd_cycle_adjacency_matches_cycle_enumeration():
+    import networkx as nx
+
+    checked = 0
+    for H in nx.graph_atlas_g():
+        n = H.number_of_nodes()
+        if n < 1 or n > 7 or not nx.is_connected(H):
+            continue
+        odd = [c for c in nx.simple_cycles(H) if len(c) % 2 == 1]
+        expected = all(
+            v in c or any(w in c for w in H[v]) for c in odd for v in H
+        )
+        G = Graph.from_edges(n, H.edges())
+        assert G.every_vertex_adjacent_to_every_odd_cycle() == expected, H.edges()
+        checked += 1
+    assert checked == 996
 
 
 def test_json_roundtrip(tmp_path):

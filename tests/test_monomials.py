@@ -104,6 +104,13 @@ class TestMembership:
         assert I.contains_ideal(J)
         assert not J.contains_ideal(I)
 
+    def test_huge_query_exponents(self):
+        # exponents past int64 are clipped to the generators' largest
+        I = MonomialIdeal(2, [M(1, 1)])
+        assert I.contains(M(2**70, 1))
+        assert not I.contains(M(2**70, 0))
+        assert MonomialIdeal(1, [M(1)]).contains(M(2**63))
+
     @pytest.mark.parametrize("query", [(5,), (5, 5)], ids=["one-long", "two-long"])
     def test_contains_each_checks_ambient(self, query):
         I = MonomialIdeal(3, [M(1, 1, 1)])
