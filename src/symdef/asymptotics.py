@@ -6,6 +6,7 @@ import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
+from math import prod
 from typing import Sequence
 
 from .covers import cover_ideal, symbolic_power
@@ -28,11 +29,7 @@ class NoFitError(ValueError):
 
 def _poly_degree(p: Poly) -> int:
     # the zero polynomial counts as degree 0 here
-    deg = 0
-    for i, c in enumerate(p):
-        if c:
-            deg = i
-    return deg
+    return max((i for i, c in enumerate(p) if c), default=0)
 
 
 def _poly_eval(p: Poly, m: int) -> Fraction:
@@ -116,12 +113,10 @@ class QuasiPolynomial:
 def _fit_class(points: list[tuple[int, int]]) -> tuple[Poly, int, int]:
     """Fit one residue class by exact differences from the tail backwards.
 
-    Returns (poly, onset_m, verified_tail_count).  The accepted degree D
-    is the smallest for which the polynomial through the last D+1 points
-    also reproduces the point before them.
+    Needs at least 2 points.  Returns (poly, onset_m, verified_tail_count).
+    The accepted degree D is the smallest for which the polynomial through
+    the last D+1 points also reproduces the point before them.
     """
-    if len(points) < 2:
-        raise NoFitError(f"need at least 2 samples per residue class, got {len(points)}")
     for D in range(0, len(points) - 1):
         poly = _lagrange(points[-(D + 1):])
         if _poly_eval(poly, points[-(D + 2)][0]) != points[-(D + 2)][1]:
@@ -150,6 +145,11 @@ def fit_quasipolynomial(
     given period.  Raises NoFitError when the data does not stabilize."""
     if period < 1:
         raise ValueError("period must be positive")
+    if len(values) < 2 * period:
+        raise NoFitError(
+            f"{len(values)} values leave a residue class mod {period} with"
+            f" fewer than 2 samples; supply at least {2 * period} values"
+        )
     classes: dict[int, list[tuple[int, int]]] = {r: [] for r in range(period)}
     for i, v in enumerate(values):
         m = start + i
@@ -157,11 +157,6 @@ def fit_quasipolynomial(
     polys: list[Poly] = []
     onsets, tails = [], []
     for r in range(period):
-        if len(classes[r]) < 2:
-            raise NoFitError(
-                f"residue class {r} mod {period} has {len(classes[r])} samples; "
-                f"supply at least {2 * period} values"
-            )
         poly, onset, tail = _fit_class(classes[r])
         polys.append(poly)
         if onset is not None:
@@ -262,19 +257,11 @@ def jacobian_rank_full(
     rng = random.Random(seed)
     for _ in range(max(retries, 1)):
         point = [rng.randint(2, 10**6) for _ in range(n)]
-        matrix = []
-        for g in gens:
-            row = []
-            for j in range(n):
-                if g.exps[j]:
-                    v = 1
-                    for idx in g.support():
-                        if idx != j:
-                            v *= point[idx]
-                    row.append(Fraction(v))
-                else:
-                    row.append(Fraction(0))
-            matrix.append(row)
+        matrix = [
+            [Fraction(prod(point[k] for k in g.support() if k != j) if g.exps[j] else 0)
+             for j in range(n)]
+            for g in gens
+        ]
         if _rank(matrix) == s:
             return True
     return False

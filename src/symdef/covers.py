@@ -9,41 +9,55 @@ from itertools import product as iter_product
 import numpy as np
 
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _check_cap
 
 ENUMERATION_BUDGET = 2_000_000
 
 
 @lru_cache(maxsize=None)
 def cover_ideal(G: Graph) -> MonomialIdeal:
-    """Intersection over the edges of the 2-generated ideals (x_i, x_j).
-
-    Generators are exactly the minimal vertex covers.  An edgeless graph
-    yields the unit ideal (vacuous intersection).
-    """
+    """J = J^(1), generated by the minimal vertex covers: the 0/1 solutions
+    of the equation of `symbolic_power` at m = 1 (the unit ideal if no edge)."""
     return symbolic_power(G, 1)
-
-
-def _edge_power(n: int, i: int, j: int, m: int) -> MonomialIdeal:
-    # (x_i, x_j)^m is generated by x_i^a x_j^(m-a), 0 <= a <= m
-    rows = np.zeros((m + 1, n), dtype=np.int64)
-    rows[:, i] = np.arange(m, -1, -1)
-    rows[:, j] = np.arange(0, m + 1)
-    return MonomialIdeal._from_array(n, rows)
 
 
 @lru_cache(maxsize=None)
 def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
-    """m-th symbolic power of the cover ideal: the intersection over all
-    edges of (x_i, x_j)^m, folded pairwise in ascending edge order."""
+    """m-th symbolic power J^(m) of the cover ideal.  Its generators are
+    the minimal vertex m-covers (Herzog-Hibi-Trung): the vectors e with
+    e_v = max(0, m - min of e over N(v)) at every vertex v.
+
+    Vertices are fixed in label order.  Each partial row is copied once
+    per value of e_v from m down to m - (least e over the fixed
+    neighbours of v), so no edge between fixed vertices sums below m.  A
+    row is dropped when a fixed v with e_v > 0 has no tight fixed
+    neighbour (e_u = m - e_v) and no free neighbour u that could still
+    take m - e_v, which u can only if every fixed neighbour of u has
+    e >= e_v.  Both rules are necessary; with every vertex fixed they are
+    the equation above, so the rows left are exactly the generators.  The
+    copies count against the generator cap.
+    """
     if m < 0:
         raise ValueError("symbolic power needs m >= 0")
-    if m == 0:
-        return MonomialIdeal.unit(G.n)
-    result = MonomialIdeal.unit(G.n)
-    for i, j in G.edge_list():
-        result = result.intersect(_edge_power(G.n, i, j, m))
-    return result
+    adj = [sorted(a) for a in G.adjacency()]
+    rows = np.zeros((1, G.n), dtype=np.int64)
+    # low[:, u]: least exponent over the fixed neighbours of u (m if none)
+    low = np.full((1, G.n), m, dtype=np.int64)
+    for v in range(G.n):
+        counts = low[:, v] + 1
+        _check_cap(int(counts.sum()))
+        take = np.repeat(np.arange(len(rows)), counts)
+        rows, low = rows[take], low[take]
+        rows[:, v] = m - np.arange(len(take)) + np.repeat(np.cumsum(counts) - counts, counts)
+        low[:, adj[v]] = np.minimum(low[:, adj[v]], rows[:, v, None])
+        # low[w] + e_w == m: a tight fixed neighbour, or e_w = 0 (all forced to m)
+        keep = np.ones(len(rows), dtype=bool)
+        for w in range(v + 1):
+            free = [u for u in adj[w] if u > v]
+            reach = low[:, free].max(axis=1, initial=-1)
+            keep &= (low[:, w] + rows[:, w] == m) | (reach >= rows[:, w])
+        rows, low = rows[keep], low[keep]
+    return MonomialIdeal._from_array(G.n, rows)
 
 
 @lru_cache(maxsize=None)

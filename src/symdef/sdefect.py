@@ -143,10 +143,10 @@ def _decompose(I: MonomialIdeal, target: Monomial, count: int) -> tuple[Monomial
 
 
 def check_indecomposability_exhaustive(
-    G: Graph, k_max: int = 3, s_max: int = 3
+    G: Graph, m_max: int
 ) -> tuple[bool, IndecomposabilityCounterexample | None]:
-    """Test every product F^k g_{i_1} ... g_{i_s} (1 <= k <= k_max,
-    0 <= s <= s_max) for membership in the ordinary (2k+s)-th power.
+    """Test every product F^k g_{i_1} ... g_{i_s} (k >= 1, s >= 0,
+    2k + s <= m_max) for membership in the ordinary (2k+s)-th power.
 
     Returns (True, None) when no product falls in, otherwise (False,
     counterexample), including a factorization of the product into
@@ -154,9 +154,9 @@ def check_indecomposability_exhaustive(
     """
     I = cover_ideal(G)
     F = all_ones(G.n)
-    for k in range(1, k_max + 1):
+    for k in range(1, m_max // 2 + 1):
         Fk = F ** k
-        for s in range(0, s_max + 1):
+        for s in range(0, m_max - 2 * k + 1):
             m = 2 * k + s
             _check_m(m)
             power_m = ordinary_power(G, m)
@@ -205,8 +205,8 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
 
     Preconditions (checked unless `unchecked`): sdefect(J(G), 2) == 1 and
     indecomposability evidence, either one of the three sufficient
-    generator-shape conditions or a bounded exhaustive product check
-    covering all products relevant up to m.  With `unchecked`, the value
+    generator-shape conditions or the exhaustive check of every product
+    F^k g_1 ... g_s with 2k + s <= m.  With `unchecked`, the value
     is computed anyway and tagged, for cross-method mismatch reporting.
     """
     if m < 1:
@@ -218,8 +218,7 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
     if not unchecked:
         cert = check_indecomposability_conditions(G)
         if cert.condition is None:
-            k_max = max(m // 2, 1)
-            ok, counter = check_indecomposability_exhaustive(G, k_max, max(m - 2, 0))
+            ok, counter = check_indecomposability_exhaustive(G, m)
             if not ok:
                 raise PreconditionError(
                     "Indecomposability Property: "

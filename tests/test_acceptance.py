@@ -153,7 +153,7 @@ def test_criterion_07_odd_cycle_recursion():
 
 
 def test_criterion_08_indecomposability_counterexample():
-    ok_flag, counter = check_indecomposability_exhaustive(TRIPOD_TRIANGLE, 1, 1)
+    ok_flag, counter = check_indecomposability_exhaustive(TRIPOD_TRIANGLE, 3)
     found = (
         not ok_flag
         and counter is not None

@@ -1,5 +1,6 @@
 """Quasi-polynomial fitting, Waldschmidt constants, growth degrees,
 generic rank of the derivative matrix."""
+import tracemalloc
 from fractions import Fraction
 from math import comb
 
@@ -58,6 +59,17 @@ class TestFit:
     def test_insufficient_data_raises(self):
         with pytest.raises(NoFitError):
             fit_quasipolynomial([1, 2, 4], start=1, period=2)
+
+    def test_huge_period_refused_before_allocating(self):
+        # the sample count is checked before one list per residue class
+        tracemalloc.start()
+        try:
+            with pytest.raises(NoFitError, match="supply at least 2000000 values"):
+                fit_quasipolynomial(list(range(10)), start=1, period=10**6)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 1 << 20
 
     def test_unstable_sequence_raises(self):
         with pytest.raises(NoFitError):

@@ -1,4 +1,7 @@
 """Cover ideals, symbolic powers, m-covers, 2-cover classification."""
+import random
+
+import numpy as np
 import pytest
 
 from symdef.covers import (
@@ -12,7 +15,14 @@ from symdef.covers import (
     symbolic_power,
 )
 from symdef.graphs import Graph, complete, cycle, path, triangle_tail
-from symdef.monomials import Monomial, all_ones
+from symdef.monomials import (
+    GeneratorCapExceeded,
+    Monomial,
+    MonomialIdeal,
+    all_ones,
+    get_generator_cap,
+    set_generator_cap,
+)
 
 
 def test_cover_ideal_k3():
@@ -46,6 +56,51 @@ def test_symbolic_power_against_direct_enumeration():
     for G in (complete(3), complete(4), cycle(5), path(4), triangle_tail(2)):
         for m in (1, 2, 3):
             assert minimal_mcovers(G, m) == enumerate_minimal_mcovers(G, m)
+
+
+def _intersection_fold(G: Graph, m: int) -> MonomialIdeal:
+    """Oracle: J^(m) as the intersection over the edges of (x_i, x_j)^m."""
+    result = MonomialIdeal.unit(G.n)
+    for i, j in G.edge_list():
+        rows = np.zeros((m + 1, G.n), dtype=np.int64)
+        rows[:, i] = np.arange(m, -1, -1)
+        rows[:, j] = np.arange(m + 1)
+        result = result.intersect(MonomialIdeal(G.n, rows.tolist()))
+    return result
+
+
+def test_symbolic_power_equals_intersection_fold(connected_atlas):
+    rng = random.Random(20070)
+    for H in connected_atlas:
+        perm = list(range(H.n))
+        rng.shuffle(perm)
+        G = Graph.from_edges(H.n, [(perm[i], perm[j]) for i, j in H.edges])
+        for m in range(6):
+            assert symbolic_power(G, m) == _intersection_fold(G, m), (sorted(G.edges), m)
+
+
+def test_symbolic_power_without_edges_at_some_vertex():
+    edgeless = Graph.from_edges(3, [])
+    isolated = Graph.from_edges(4, [(0, 1), (1, 2)])  # vertex x4 has no edge
+    for G in (edgeless, isolated):
+        for m in range(4):
+            assert symbolic_power(G, m) == _intersection_fold(G, m)
+    assert all(symbolic_power(edgeless, m).is_unit() for m in range(4))
+
+
+def test_symbolic_power_partial_rows_stay_small():
+    # the drop rule for vertices without a tight neighbour keeps K7 at
+    # m = 10 to at most 141 partial rows per vertex; without it, 423,541
+    build = symbolic_power.__wrapped__  # bypass the cache, which skips the cap
+    old = get_generator_cap()
+    try:
+        set_generator_cap(20_000)
+        assert len(build(complete(7), 10)) == 36
+        set_generator_cap(100)
+        with pytest.raises(GeneratorCapExceeded):
+            build(complete(7), 10)
+    finally:
+        set_generator_cap(old)
 
 
 def test_ordinary_power_matches_plain_ideal_power():

@@ -5,7 +5,7 @@ from itertools import islice
 import pytest
 
 from symdef.covers import cover_ideal, ordinary_power, symbolic_power
-from symdef.graphs import complete, cycle, path
+from symdef.graphs import Graph, complete, cycle, path
 from symdef.monomials import Monomial, MonomialIdeal, all_ones
 from symdef.sdefect import (
     PreconditionError,
@@ -91,6 +91,15 @@ class TestRecursion:
             got = sdefect_recursive(two_triangles, m).value
             assert got == sdefect_brute(two_triangles, m).value
 
+    def test_exhaustive_check_stays_within_max_m(self):
+        # no generator-shape condition holds, so the exhaustive check runs;
+        # it tests products of level 2k + s <= m only, so m up to MAX_M works
+        G = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3)])
+        for m, expected in zip(range(8, 13), (28, 36, 45, 55, 66)):
+            rep = sdefect_recursive(G, m)
+            assert rep.method == "recursion(exhaustive-check)"
+            assert rep.value == sdefect_brute(G, m).value == expected
+
     def test_rejects_bipartite(self):
         with pytest.raises(PreconditionError):
             sdefect_recursive(cycle(4), 3)
@@ -116,7 +125,7 @@ class TestIndecomposabilityEvidence:
 
     def test_tripod_triangle_has_counterexample(self, tripod_triangle):
         assert check_indecomposability_conditions(tripod_triangle).condition is None
-        ok, counter = check_indecomposability_exhaustive(tripod_triangle, 1, 1)
+        ok, counter = check_indecomposability_exhaustive(tripod_triangle, 3)
         assert not ok
         assert counter.k == 1 and len(counter.factors) == 1
         # the offending product factors into three 1-covers
@@ -127,7 +136,7 @@ class TestIndecomposabilityEvidence:
         assert prod == counter.product
 
     def test_exhaustive_clean_on_c5(self):
-        ok, counter = check_indecomposability_exhaustive(cycle(5), 2, 2)
+        ok, counter = check_indecomposability_exhaustive(cycle(5), 6)
         assert ok and counter is None
 
 
