@@ -8,8 +8,9 @@ from itertools import product as iter_product
 
 import numpy as np
 
+from . import monomials
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal, _check_cap
+from .monomials import Monomial, MonomialIdeal, _check_cap, _distinct_rows
 
 ENUMERATION_BUDGET = 2_000_000
 
@@ -58,6 +59,35 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
             keep &= (low[:, w] + rows[:, w] == m) | (reach >= rows[:, w])
         rows, low = rows[keep], low[keep]
     return MonomialIdeal._from_array(G.n, rows)
+
+
+@lru_cache(maxsize=None)
+def _decomposable_covers(G: Graph, m: int) -> np.ndarray:
+    """D_m, for m >= 1: the minimal vertex m-covers that are sums of m
+    minimal vertex covers, as rows in canonical order.
+
+    D_1 = G(J).  D_m holds the sums d + c, d in D_(m-1) and c in G(J),
+    that satisfy the equation of `symbolic_power` at m; this misses none,
+    since for a minimal m-cover g = c_1 + ... + c_m, g - c_m is a minimal
+    (m-1)-cover.  The |D_(m-1)| * |G(J)| sums count against the generator
+    cap and are built in blocks of rows of D_(m-1), about _BLOCK_WORDS
+    sums at a time.
+    """
+    gens = cover_ideal(G)._arr
+    if m == 1:
+        return gens
+    prev = _decomposable_covers(G, m - 1)
+    _check_cap(len(prev) * len(gens))
+    adj = [sorted(a) for a in G.adjacency()]
+    step = max(1, monomials._BLOCK_WORDS // len(gens))
+    kept = []
+    for lo in range(0, len(prev), step):
+        cand = (prev[lo : lo + step, None, :] + gens[None, :, :]).reshape(-1, G.n)
+        ok = np.ones(len(cand), dtype=bool)
+        for v, nbrs in enumerate(adj):
+            ok &= cand[:, v] == np.maximum(0, m - cand[:, nbrs].min(axis=1, initial=m))
+        kept.append(cand[ok])
+    return _distinct_rows(np.vstack(kept))[0]
 
 
 @lru_cache(maxsize=None)
@@ -138,8 +168,6 @@ def classify_indecomposable_2cover(G: Graph, f: Monomial) -> Cover2Classificatio
 
     Raises ValueError if f is not a minimal 2-cover of G.
     """
-    if any(e > 2 for e in f.exps):
-        return None  # minimal 2-covers have exponents <= 2
     if not is_minimal_mcover(G, f, 2):
         raise ValueError(f"{f} is not a minimal 2-cover of the graph")
     if all(e == 1 for e in f.exps):

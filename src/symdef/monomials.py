@@ -202,6 +202,18 @@ def _divisible(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarr
     return out
 
 
+def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The distinct rows of a non-empty array in canonical order, degree
+    ascending, then exponent tuple descending, with their degrees: one
+    lexsort, then a compare of adjacent rows."""
+    deg = arr.sum(axis=1)
+    order = np.lexsort(np.vstack([-arr[:, ::-1].T, deg]))
+    arr, deg = arr[order], deg[order]
+    fresh = np.ones(arr.shape[0], dtype=bool)
+    fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
+    return arr[fresh], deg[fresh]
+
+
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """Reduce rows to the divisibility antichain of minimal elements, in
     canonical order: degree ascending, then exponent tuple descending.
@@ -213,12 +225,7 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """
     if arr.shape[0] == 0:
         return arr
-    deg = arr.sum(axis=1)
-    order = np.lexsort(np.vstack([-arr[:, ::-1].T, deg]))
-    arr, deg = arr[order], deg[order]
-    fresh = np.ones(arr.shape[0], dtype=bool)
-    fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    arr, deg = arr[fresh], deg[fresh]
+    arr, deg = _distinct_rows(arr)
     starts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
     if not starts:
         return arr

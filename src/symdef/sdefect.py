@@ -10,7 +10,7 @@ from typing import Callable
 
 import numpy as np
 
-from .covers import cover_ideal, ordinary_power, symbolic_power
+from .covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
 from .graphs import Graph, cycle, path, triangle_tail
 from .monomials import Monomial, MonomialIdeal, all_ones
 
@@ -53,14 +53,21 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     A minimal monomial generator of I^(m) never lies in the irrelevant
     multiple of I^(m), and monomial membership splits over sums, so this
     count equals the minimal generator count of I^(m)/I^m.
+
+    J^m is not built.  A generator g of J^(m) (a minimal m-cover) lies in
+    J^m iff it is a sum of m minimal vertex covers: if a product of m
+    generators of J divides g, that product is an m-cover below g, so it
+    equals g.  Removing one cover from such a sum g = c_1 + ... + c_m
+    leaves a minimal (m-1)-cover: a smaller (m-1)-cover h would give the
+    smaller m-cover h + c_m.  So these sums are built level by level from
+    the minimal covers alone (`covers._decomposable_covers`), and the
+    witnesses are the generators of J^(m) outside them.
     """
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
-    sym = symbolic_power(G, m)
-    ordinary = ordinary_power(G, m)
-    inside = ordinary.contains_each(sym.gens)
-    witnesses = tuple(g for g, hit in zip(sym.gens, inside) if not hit)
+    inside = set(map(tuple, _decomposable_covers(G, m).tolist()))
+    witnesses = tuple(g for g in symbolic_power(G, m).gens if g.exps not in inside)
     return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
 
 

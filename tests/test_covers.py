@@ -148,6 +148,11 @@ class TestClassify2:
         with pytest.raises(ValueError):
             classify_indecomposable_2cover(complete(3), Monomial((2, 2, 2)))
 
+    def test_exponent_above_two_rejected(self):
+        # (3, 3, 0) is a 2-cover but not a minimal one
+        with pytest.raises(ValueError):
+            classify_indecomposable_2cover(complete(3), Monomial((3, 3, 0)))
+
     def test_szt_pattern_appears_on_triangle_with_tail(self):
         G = triangle_tail(3)
         kinds = set()

@@ -1,12 +1,22 @@
 """Symbolic defect: brute force, the two-step recursion, odd cycles,
 triangle tails, indecomposability evidence."""
+import random
 from itertools import islice
 
+import numpy as np
 import pytest
 
-from symdef.covers import cover_ideal, ordinary_power, symbolic_power
+from symdef import monomials
+from symdef.covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
 from symdef.graphs import Graph, complete, cycle, path
-from symdef.monomials import Monomial, MonomialIdeal, all_ones
+from symdef.monomials import (
+    GeneratorCapExceeded,
+    Monomial,
+    MonomialIdeal,
+    all_ones,
+    get_generator_cap,
+    set_generator_cap,
+)
 from symdef.sdefect import (
     PreconditionError,
     check_indecomposability_conditions,
@@ -50,6 +60,80 @@ def test_brute_vanishes_on_bipartite():
     for G in (cycle(4), cycle(6), path(5)):
         for m in (1, 2, 3, 4):
             assert sdefect_brute(G, m).value == 0
+
+
+def _membership_witnesses(G, m):
+    """Oracle: the generators of J^(m) that the built J^m does not contain."""
+    sym = symbolic_power(G, m)
+    inside = ordinary_power(G, m).contains_each(sym.gens)
+    return tuple(g for g, hit in zip(sym.gens, inside) if not hit)
+
+
+class TestBruteWithoutOrdinaryPower:
+    def test_witnesses_match_membership_on_atlas(self, connected_atlas):
+        rng = random.Random(20180)
+        for H in connected_atlas:
+            perm = list(range(H.n))
+            rng.shuffle(perm)
+            G = Graph.from_edges(H.n, [(perm[i], perm[j]) for i, j in H.edges])
+            for m in range(1, 6):
+                rep = sdefect_brute(G, m)
+                assert rep.witnesses == _membership_witnesses(G, m), (sorted(G.edges), m)
+                # the chain holds generators of J^(m) only: the rest are witnesses
+                assert len(_decomposable_covers(G, m)) + rep.value == len(symbolic_power(G, m))
+
+    def test_witnesses_match_membership_without_edges_at_some_vertex(self):
+        edgeless = Graph.from_edges(3, [])
+        isolated = Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])  # x4 has no edge
+        for G in (edgeless, isolated):
+            for m in range(1, 6):
+                assert sdefect_brute(G, m).witnesses == _membership_witnesses(G, m)
+        assert sdefect_brute(edgeless, 5).value == 0
+
+    def test_known_values(self):
+        assert sdefect_brute(cycle(11), 6).value == 485
+        assert sdefect_brute(cycle(13), 5).value == 312
+
+    def test_builds_no_ordinary_power(self, monkeypatch):
+        calls = []
+        multiply, contains_each = MonomialIdeal.multiply, MonomialIdeal.contains_each
+
+        def counting_multiply(self, other):
+            calls.append("multiply")
+            return multiply(self, other)
+
+        def counting_contains_each(self, queries):
+            calls.append("contains_each")
+            return contains_each(self, queries)
+
+        monkeypatch.setattr(MonomialIdeal, "multiply", counting_multiply)
+        monkeypatch.setattr(MonomialIdeal, "contains_each", counting_contains_each)
+        assert sdefect_brute(cycle(9), 7).value == 435
+        assert calls == []
+
+    def test_chain_counts_against_cap(self):
+        G = cycle(7)
+        count = len(_decomposable_covers(G, 3)) * len(cover_ideal(G))
+        build = _decomposable_covers.__wrapped__  # bypass the cache, which skips the cap
+        old = get_generator_cap()
+        try:
+            set_generator_cap(count - 1)
+            with pytest.raises(GeneratorCapExceeded):
+                build(G, 4)
+            set_generator_cap(count)
+            assert np.array_equal(build(G, 4), _decomposable_covers(G, 4))
+        finally:
+            set_generator_cap(old)
+
+    def test_one_row_blocks_change_nothing(self, monkeypatch):
+        G = cycle(7)
+        expected = [sdefect_brute(G, m).witnesses for m in range(1, 7)]
+        monkeypatch.setattr(monomials, "_BLOCK_WORDS", 1)
+        _decomposable_covers.cache_clear()
+        try:
+            assert [sdefect_brute(G, m).witnesses for m in range(1, 7)] == expected
+        finally:
+            _decomposable_covers.cache_clear()
 
 
 def test_m_validation():
