@@ -270,6 +270,10 @@ def _cmd_verify(args) -> int:
     if identity == "kn":
         n_lo, n_hi = _parse_range(args.n or "3..5")
         m_lo, m_hi = _parse_range(args.m or "2..8")
+        if n_lo < 3:
+            raise CLIInputError(
+                "the K_n closed form needs n >= 3; compute sdefect directly below that"
+            )
         for n in range(n_lo, n_hi + 1):
             G = graphs.complete(n)
             for m in range(m_lo, m_hi + 1):
@@ -330,6 +334,8 @@ def _cmd_verify(args) -> int:
         input_desc = {"identity": identity, **_graph_desc(args, G)}
     else:  # pragma: no cover - argparse restricts choices
         raise CLIInputError(f"unknown identity {identity!r}")
+    if not results:
+        raise CLIInputError(f"verify {identity}: no instance in range")
     if not ok:
         warnings.append("verification failed for at least one instance")
     _emit(args, "verify", input_desc, results, warnings, started)

@@ -37,6 +37,17 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     e >= e_v.  Both rules are necessary; with every vertex fixed they are
     the equation above, so the rows left are exactly the generators.  The
     copies count against the generator cap.
+
+    The rows left are distinct minimal m-covers, and no two minimal
+    m-covers divide each other, so they are already the minimal
+    generators: they are only sorted, never re-tested for divisibility.
+
+    The verdict of the drop rule at a fixed w reads e_w, low[w] and low
+    over the free neighbours of w.  Fixing v sets e_v, lowers low only on
+    N(v) and takes v out of the free set, so only the fixed vertices of
+    {v} + N(v) + N(free part of N(v)) can change verdict; every other
+    fixed vertex held on the parent row and still holds.  Only those are
+    re-checked.
     """
     if m < 0:
         raise ValueError("symbolic power needs m >= 0")
@@ -53,12 +64,13 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
         low[:, adj[v]] = np.minimum(low[:, adj[v]], rows[:, v, None])
         # low[w] + e_w == m: a tight fixed neighbour, or e_w = 0 (all forced to m)
         keep = np.ones(len(rows), dtype=bool)
-        for w in range(v + 1):
+        touched = {v}.union(adj[v], *(adj[u] for u in adj[v] if u > v))
+        for w in sorted(w for w in touched if w <= v):
             free = [u for u in adj[w] if u > v]
             reach = low[:, free].max(axis=1, initial=-1)
             keep &= (low[:, w] + rows[:, w] == m) | (reach >= rows[:, w])
         rows, low = rows[keep], low[keep]
-    return MonomialIdeal._from_array(G.n, rows)
+    return MonomialIdeal._from_minimal(G.n, _distinct_rows(rows)[0])
 
 
 @lru_cache(maxsize=None)

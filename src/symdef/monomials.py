@@ -10,7 +10,9 @@ never wraps.  Divisibility, in minimalization and membership, runs on
 packed uint64 words: each exponent takes a field of bit_length(max) + 1
 bits whose top bit is a guard, so one subtraction per word compares
 every field of the word at once, and rows too wide for one word take
-several.
+several.  The first variable takes the highest field, so the words of a
+row also sort as its exponent tuple does: the canonical order is one
+lexsort on the degree and the packed words.
 """
 from __future__ import annotations
 
@@ -161,9 +163,11 @@ def _pack(arr: np.ndarray) -> tuple[np.ndarray, np.uint64]:
 
     Each exponent takes a field of bits = bit_length(max) + 1 bits, the
     value in the low bits and a guard in the top bit; a word holds
-    64 // bits fields and a row takes as many words as it needs.  Returns
-    the words with shape (words per row, rows), packed column by column,
-    and the guard mask of one word.
+    64 // bits fields and a row takes as many words as it needs.  Column
+    j goes to the high end of its word, so the words of a row, read in
+    order, compare as its exponent tuple does.  Returns the words with
+    shape (words per row, rows), packed column by column, and the guard
+    mask of one word.
     """
     rows, n = arr.shape
     bits = int(arr.max(initial=0)).bit_length() + 1
@@ -171,7 +175,7 @@ def _pack(arr: np.ndarray) -> tuple[np.ndarray, np.uint64]:
     words = np.zeros((max(1, -(-n // per_word)), rows), dtype=np.uint64)
     cols = arr.view(np.uint64)
     for j in range(n):
-        words[j // per_word] |= cols[:, j] << np.uint64(j % per_word * bits)
+        words[j // per_word] |= cols[:, j] << np.uint64((per_word - 1 - j % per_word) * bits)
     ones = ((1 << per_word * bits) - 1) // ((1 << bits) - 1)
     return words, np.uint64(ones << (bits - 1))
 
@@ -202,16 +206,20 @@ def _divisible(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarr
     return out
 
 
-def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """The distinct rows of a non-empty array in canonical order, degree
-    ascending, then exponent tuple descending, with their degrees: one
-    lexsort, then a compare of adjacent rows."""
+def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint64]:
+    """The distinct rows of an array in canonical order, degree
+    ascending, then exponent tuple descending, with their degrees and
+    their packed words and guard (see `_pack`): one lexsort on the
+    degree and the complemented words, then a compare of adjacent
+    words."""
     deg = arr.sum(axis=1)
-    order = np.lexsort(np.vstack([-arr[:, ::-1].T, deg]))
-    arr, deg = arr[order], deg[order]
+    words, guard = _pack(arr)
+    order = np.lexsort((*~words[::-1], deg))
+    words = words[:, order]
     fresh = np.ones(arr.shape[0], dtype=bool)
-    fresh[1:] = (arr[1:] != arr[:-1]).any(axis=1)
-    return arr[fresh], deg[fresh]
+    fresh[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
+    order = order[fresh]
+    return arr[order], deg[order], words[:, fresh], guard
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
@@ -225,11 +233,10 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """
     if arr.shape[0] == 0:
         return arr
-    arr, deg = _distinct_rows(arr)
+    arr, deg, words, guard = _distinct_rows(arr)
     starts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
     if not starts:
         return arr
-    words, guard = _pack(arr)
     # kept rows are moved to the front of `words`, so words[:, :top] is
     # the packed antichain so far
     keep = np.ones(arr.shape[0], dtype=bool)
@@ -269,18 +276,24 @@ class MonomialIdeal:
                     raise ValueError(f"negative exponent in {exps}")
                 _check_exponent_bound(max(exps), n)
             rows.append(exps)
-        self._init_from(n, np.array(rows, dtype=np.int64).reshape(len(rows), n))
+        self._init_from(n, _minimal_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n)))
 
-    def _init_from(self, n: int, arr: np.ndarray) -> None:
+    def _init_from(self, n: int, minimal: np.ndarray) -> None:
         self.n = n
-        self._arr = _minimal_rows(arr)
-        self.gens = tuple(map(_row_monomial, self._arr.tolist()))
+        self._arr = minimal
+        self.gens = tuple(map(_row_monomial, minimal.tolist()))
+
+    @classmethod
+    def _from_minimal(cls, n: int, minimal: np.ndarray) -> "MonomialIdeal":
+        """The ideal of rows that are already its minimal generators in
+        canonical order; nothing is re-tested."""
+        self = object.__new__(cls)
+        self._init_from(n, minimal)
+        return self
 
     @classmethod
     def _from_array(cls, n: int, arr: np.ndarray) -> "MonomialIdeal":
-        self = object.__new__(cls)
-        self._init_from(n, arr)
-        return self
+        return cls._from_minimal(n, _minimal_rows(arr))
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":

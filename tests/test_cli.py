@@ -213,6 +213,27 @@ class TestInputErrors:
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")
         assert code == EXIT_INPUT
 
+    @pytest.mark.parametrize("n", ["1..3", "2..2"])
+    def test_kn_closed_form_needs_three_vertices(self, capsys, n):
+        # J(K2) = (x1, x2) has sdefect 0, off the closed form
+        code, out, err = run(capsys, "verify", "kn", "--n", n, "--m", "2..3")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "n >= 3" in err
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["cycle", "--n", "6..6"],
+            ["cycle", "--n", "4..4"],
+            ["decomposition", "--family", "C5", "--m", "1..2"],
+        ],
+        ids=["cycle-even", "cycle-four", "decomposition-below-3"],
+    )
+    def test_empty_verify_sweep(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "no instance in range" in err
+
     def test_m_beyond_cap(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "1..99")
         assert code == EXIT_INPUT

@@ -19,10 +19,17 @@ from symdef.monomials import (
     GeneratorCapExceeded,
     Monomial,
     MonomialIdeal,
+    _minimal_rows,
     all_ones,
     get_generator_cap,
     set_generator_cap,
 )
+
+
+def _relabeled(H: Graph, rng: random.Random) -> Graph:
+    perm = list(range(H.n))
+    rng.shuffle(perm)
+    return Graph.from_edges(H.n, [(perm[i], perm[j]) for i, j in H.edges])
 
 
 def test_cover_ideal_k3():
@@ -71,12 +78,24 @@ def _intersection_fold(G: Graph, m: int) -> MonomialIdeal:
 
 def test_symbolic_power_equals_intersection_fold(connected_atlas):
     rng = random.Random(20070)
-    for H in connected_atlas:
-        perm = list(range(H.n))
-        rng.shuffle(perm)
-        G = Graph.from_edges(H.n, [(perm[i], perm[j]) for i, j in H.edges])
-        for m in range(6):
+    cases = [(_relabeled(H, rng), 6) for H in connected_atlas]
+    # sparse graphs, where each step re-checks the drop rule only at a
+    # strict subset of the fixed vertices
+    for H in (path(9), cycle(11), triangle_tail(10), cycle(13)):
+        cases += [(H, 5), (_relabeled(H, rng), 5)]
+    for G, top in cases:
+        for m in range(top):
             assert symbolic_power(G, m) == _intersection_fold(G, m), (sorted(G.edges), m)
+
+
+def test_kernel_keeps_symbolic_power_output(connected_atlas):
+    # the construction emits its antichain unchecked; the kernel on that
+    # output must keep every row, in the same order
+    rng = random.Random(20071)
+    cases = [(_relabeled(H, rng), m) for H in connected_atlas for m in range(6)]
+    for G, m in cases + [(cycle(13), 5)]:
+        rows = symbolic_power(G, m)._arr
+        assert np.array_equal(_minimal_rows(rows), rows), (sorted(G.edges), m)
 
 
 def test_symbolic_power_without_edges_at_some_vertex():
@@ -99,6 +118,23 @@ def test_symbolic_power_partial_rows_stay_small():
         set_generator_cap(100)
         with pytest.raises(GeneratorCapExceeded):
             build(complete(7), 10)
+    finally:
+        set_generator_cap(old)
+
+
+def test_symbolic_power_touched_vertices_prune_like_all_fixed():
+    # re-checking the drop rule only where step v changed something keeps
+    # the same partial rows as re-checking every fixed vertex: on C13 at
+    # m = 4 the largest step copies 13,255 rows either way, and skipping
+    # the free neighbours' neighbours would copy 14,890
+    build = symbolic_power.__wrapped__  # bypass the cache, which skips the cap
+    old = get_generator_cap()
+    try:
+        set_generator_cap(13_255)
+        assert len(build(cycle(13), 4)) == 3836
+        set_generator_cap(13_254)
+        with pytest.raises(GeneratorCapExceeded):
+            build(cycle(13), 4)
     finally:
         set_generator_cap(old)
 

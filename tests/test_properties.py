@@ -1,12 +1,20 @@
 """Property-based checks of the algebraic laws and the containment
 relations between ordinary and symbolic powers."""
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from symdef.covers import cover_ideal, ordinary_power, symbolic_power
 from symdef.graphs import Graph
-from symdef.monomials import EXPONENT_BOUND, Monomial, MonomialIdeal, all_ones
+from symdef.monomials import (
+    EXPONENT_BOUND,
+    Monomial,
+    MonomialIdeal,
+    _distinct_rows,
+    _pack,
+    all_ones,
+)
 
 N_VARS = 4
 
@@ -17,6 +25,13 @@ ideals = st.lists(monomials, min_size=1, max_size=6).map(
 )
 
 
+def width_edges(n):
+    """Exponents at bit-width edges (2^k - 1, 2^k) up to the largest that
+    EXPONENT_BOUND allows in n variables, which is included."""
+    top = EXPONENT_BOUND // max(n, 1)
+    return sorted({v for k in range(63) for v in (2**k - 1, 2**k) if v <= top} | {top})
+
+
 @st.composite
 def wide_cases(draw):
     """(n, generators, queries) with n in 0..20 and exponents drawn from
@@ -24,13 +39,23 @@ def wide_cases(draw):
     that EXPONENT_BOUND allows in n variables, so that packed rows take
     one word or many and fields reach their guard bits."""
     n = draw(st.integers(min_value=0, max_value=20))
-    top = EXPONENT_BOUND // max(n, 1)
-    edges = sorted({v for k in range(63) for v in (2**k - 1, 2**k) if v <= top} | {top})
-    palette = [0] + draw(st.lists(st.sampled_from(edges), min_size=1, max_size=3))
+    palette = [0] + draw(st.lists(st.sampled_from(width_edges(n)), min_size=1, max_size=3))
     rows = st.lists(st.sampled_from(palette), min_size=n, max_size=n).map(tuple)
     gens = draw(st.lists(rows, max_size=8))
     queries = draw(st.lists(rows, max_size=8))
     return n, gens, queries
+
+
+@st.composite
+def sort_cases(draw):
+    """(n, rows) with n in 0..21 and exponents up to EXPONENT_BOUND // n,
+    small ones (many fields per word) or bit-width edges (down to one
+    field per word), with repeated rows."""
+    n = draw(st.integers(min_value=0, max_value=21))
+    values = draw(st.sampled_from([st.integers(0, 3), st.sampled_from(width_edges(n))]))
+    palette = draw(st.lists(values, min_size=1, max_size=4))
+    row = st.lists(st.sampled_from(palette), min_size=n, max_size=n).map(tuple)
+    return n, draw(st.lists(row, max_size=12))
 
 
 def oracle_minimal(gens):
@@ -86,6 +111,19 @@ def test_packed_words_match_pure_python_oracle(case):
     assert I.gens == oracle_minimal(gens)
     expected = [any(g.divides(q) for g in gens) for q in queries]
     assert I.contains_each(queries).tolist() == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(sort_cases())
+def test_packed_sort_matches_pure_python_oracle(case):
+    n, rows = case
+    arr = np.array(rows, dtype=np.int64).reshape(len(rows), n)
+    out, deg, words, guard = _distinct_rows(arr)
+    expected = sorted(set(rows), key=lambda r: (sum(r), [-e for e in r]))
+    assert [tuple(r) for r in out.tolist()] == expected
+    assert deg.tolist() == [sum(r) for r in expected]
+    packed, packed_guard = _pack(out)
+    assert np.array_equal(words, packed) and guard == packed_guard
 
 
 @pytest.mark.parametrize("gens, inside", [([()], True), ([], False)], ids=["unit", "zero"])
