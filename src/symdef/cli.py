@@ -314,8 +314,13 @@ def _cmd_verify(args) -> int:
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}"}
     elif identity == "decomposition":
         G = _load_graph(args)
-        m_lo, m_hi = _parse_range(args.m or "3..5")
-        for m in range(max(m_lo, 3), m_hi + 1):
+        m_lo, m_hi = _parse_m_range(args.m or "3..5")
+        if m_lo < 3:
+            raise CLIInputError(
+                f"verify decomposition: no instance in range at m = {m_lo}; "
+                "the identity J^(m) = J^m + J^(2) J^(m-2) needs m >= 3"
+            )
+        for m in range(m_lo, m_hi + 1):
             lhs = covers.symbolic_power(G, m)
             rhs = covers.ordinary_power(G, m).add(
                 covers.symbolic_power(G, 2).multiply(covers.symbolic_power(G, m - 2))

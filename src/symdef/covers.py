@@ -22,6 +22,32 @@ def cover_ideal(G: Graph) -> MonomialIdeal:
     return symbolic_power(G, 1)
 
 
+@lru_cache(maxsize=16)
+def _elimination_plan(G: Graph) -> tuple[tuple, tuple]:
+    """The index arrays that `symbolic_power` and `_decomposable_covers`
+    read at each vertex v; they depend on G alone, not on m or the rows.
+
+    Returns (nbrs, steps).  nbrs[v] holds the neighbours of v.  steps[v]
+    is (low columns of N(v), checks), where the low column of u is n + u
+    and checks lists, in label order, the pair (w, low columns of the
+    free neighbours u > v of w) for each fixed w <= v of
+    {v} + N(v) + N(free part of N(v)).  A sweep asks for every m of one
+    graph in a row, so only a few graphs are kept.
+    """
+    n = G.n
+    adj = [sorted(a) for a in G.adjacency()]
+    nbrs = tuple(np.array(a, dtype=np.intp) for a in adj)
+    steps = []
+    for v in range(n):
+        touched = {v}.union(adj[v], *(adj[u] for u in adj[v] if u > v))
+        checks = tuple(
+            (w, np.array([n + u for u in adj[w] if u > v], dtype=np.intp))
+            for w in sorted(w for w in touched if w <= v)
+        )
+        steps.append((n + nbrs[v], checks))
+    return nbrs, tuple(steps)
+
+
 @lru_cache(maxsize=None)
 def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     """m-th symbolic power J^(m) of the cover ideal.  Its generators are
@@ -48,29 +74,38 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     {v} + N(v) + N(free part of N(v)) can change verdict; every other
     fixed vertex held on the parent row and still holds.  Only those are
     re-checked.
+
+    Which vertices those are, and their columns, depend on G alone, so
+    they come from `_elimination_plan`, built once per graph for every m.
+    Each partial row carries e in columns 0..n-1 and low in columns
+    n..2n-1 of one array, so a step copies and filters the rows with one
+    gather each.  Neither changes which rows a step keeps: every step
+    copies and drops exactly the rows the two rules above name, so the
+    partial rows, the cap counts and the output depend on G and m only.
     """
     if m < 0:
         raise ValueError("symbolic power needs m >= 0")
-    adj = [sorted(a) for a in G.adjacency()]
-    rows = np.zeros((1, G.n), dtype=np.int64)
-    # low[:, u]: least exponent over the fixed neighbours of u (m if none)
-    low = np.full((1, G.n), m, dtype=np.int64)
-    for v in range(G.n):
-        counts = low[:, v] + 1
+    n = G.n
+    # e in columns 0..n-1; low[u] in column n + u: the least exponent
+    # over the fixed neighbours of u (m if none)
+    state = np.zeros((1, 2 * n), dtype=np.int64)
+    state[:, n:] = m
+    for v, (low_nbrs, checks) in enumerate(_elimination_plan(G)[1]):
+        counts = state[:, n + v] + 1
         _check_cap(int(counts.sum()))
-        take = np.repeat(np.arange(len(rows)), counts)
-        rows, low = rows[take], low[take]
-        rows[:, v] = m - np.arange(len(take)) + np.repeat(np.cumsum(counts) - counts, counts)
-        low[:, adj[v]] = np.minimum(low[:, adj[v]], rows[:, v, None])
+        state = state[np.repeat(np.arange(len(state)), counts)]
+        # copy j of a row, counting from 0, gets e_v = m - j
+        state[:, v] = np.repeat(np.cumsum(counts) - counts + m, counts) - np.arange(len(state))
+        state[:, low_nbrs] = np.minimum(state[:, low_nbrs], state[:, v, None])
         # low[w] + e_w == m: a tight fixed neighbour, or e_w = 0 (all forced to m)
-        keep = np.ones(len(rows), dtype=bool)
-        touched = {v}.union(adj[v], *(adj[u] for u in adj[v] if u > v))
-        for w in sorted(w for w in touched if w <= v):
-            free = [u for u in adj[w] if u > v]
-            reach = low[:, free].max(axis=1, initial=-1)
-            keep &= (low[:, w] + rows[:, w] == m) | (reach >= rows[:, w])
-        rows, low = rows[keep], low[keep]
-    return MonomialIdeal._from_minimal(G.n, _distinct_rows(rows)[0])
+        keep = np.ones(len(state), dtype=bool)
+        for w, free in checks:
+            ok = state[:, n + w] + state[:, w] == m
+            if len(free):  # some free neighbour can still take m - e_w
+                ok |= state[:, free].max(axis=1) >= state[:, w]
+            keep &= ok
+        state = state[keep]
+    return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n])[0])
 
 
 @lru_cache(maxsize=None)
@@ -83,23 +118,24 @@ def _decomposable_covers(G: Graph, m: int) -> np.ndarray:
     since for a minimal m-cover g = c_1 + ... + c_m, g - c_m is a minimal
     (m-1)-cover.  The |D_(m-1)| * |G(J)| sums count against the generator
     cap and are built in blocks of rows of D_(m-1), about _BLOCK_WORDS
-    sums at a time.
+    sums at a time.  Each block is deduplicated as soon as it is built,
+    so duplicates never pile up across the whole level.
     """
     gens = cover_ideal(G)._arr
     if m == 1:
         return gens
     prev = _decomposable_covers(G, m - 1)
     _check_cap(len(prev) * len(gens))
-    adj = [sorted(a) for a in G.adjacency()]
+    nbrs = _elimination_plan(G)[0]
     step = max(1, monomials._BLOCK_WORDS // len(gens))
     kept = []
     for lo in range(0, len(prev), step):
         cand = (prev[lo : lo + step, None, :] + gens[None, :, :]).reshape(-1, G.n)
         ok = np.ones(len(cand), dtype=bool)
-        for v, nbrs in enumerate(adj):
-            ok &= cand[:, v] == np.maximum(0, m - cand[:, nbrs].min(axis=1, initial=m))
-        kept.append(cand[ok])
-    return _distinct_rows(np.vstack(kept))[0]
+        for v, cols in enumerate(nbrs):
+            ok &= cand[:, v] == np.maximum(0, m - cand[:, cols].min(axis=1, initial=m))
+        kept.append(_distinct_rows(cand[ok])[0])
+    return kept[0] if len(kept) == 1 else _distinct_rows(np.vstack(kept))[0]
 
 
 @lru_cache(maxsize=None)

@@ -117,6 +117,12 @@ def test_verify_decomposition(capsys):
     assert all(row["pass"] for row in report["results"])
 
 
+def test_verify_decomposition_default_range(capsys):
+    code, report, _ = run_json(capsys, "verify", "decomposition", "--family", "C5")
+    assert code == EXIT_OK
+    assert report["results"] == [{"m": m, "pass": True} for m in (3, 4, 5)]
+
+
 def test_verify_classification_matches_classify2(capsys):
     code, report, _ = run_json(capsys, "verify", "classification", "--family", "T3")
     assert code == EXIT_OK
@@ -233,6 +239,18 @@ class TestInputErrors:
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert "no instance in range" in err
+
+    @pytest.mark.parametrize("m", ["2..3", "1..5"])
+    def test_decomposition_refuses_m_below_three(self, capsys, m):
+        # the identity starts at m = 3; a range that reaches below is refused, not clipped
+        code, out, err = run(capsys, "verify", "decomposition", "--family", "C5", "--m", m)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "m >= 3" in err
+
+    def test_decomposition_m_beyond_cap(self, capsys):
+        code, out, err = run(capsys, "verify", "decomposition", "--family", "C5", "--m", "3..13")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"1..{sdefect.MAX_M}" in err
 
     def test_m_beyond_cap(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "1..99")

@@ -1,10 +1,13 @@
 """Cover ideals, symbolic powers, m-covers, 2-cover classification."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from symdef.covers import (
+    _decomposable_covers,
+    _elimination_plan,
     classify_indecomposable_2cover,
     cover_ideal,
     enumerate_minimal_mcovers,
@@ -137,6 +140,46 @@ def test_symbolic_power_touched_vertices_prune_like_all_fixed():
             build(cycle(13), 4)
     finally:
         set_generator_cap(old)
+
+
+def test_elimination_plan_serves_the_right_graph(connected_atlas):
+    # more graphs than the plan cache holds, visited round robin so each
+    # plan is evicted between uses: relabelings of one graph, and one
+    # graph built from two edge lists in different orders
+    rng = random.Random(20072)
+    T = triangle_tail(4)
+    graphs = [H for H in connected_atlas if H.n >= 4][:12]
+    graphs += [_relabeled(cycle(7), rng) for _ in range(6)]
+    graphs += [T, Graph.from_edges(T.n, [(j, i) for i, j in reversed(T.edge_list())])]
+    assert len(set(graphs)) > _elimination_plan.cache_info().maxsize
+    caches = (_elimination_plan, cover_ideal, symbolic_power, _decomposable_covers)
+
+    def cold(G, m):
+        for f in caches:
+            f.cache_clear()
+        return symbolic_power.__wrapped__(G, m)._arr, _decomposable_covers.__wrapped__(G, m)
+
+    expected = {(G, m): cold(G, m) for G in graphs for m in (1, 2, 3)}
+    for f in caches:
+        f.cache_clear()
+    for m in (1, 2, 3):
+        for G in graphs + graphs[::-1]:
+            J, D = expected[G, m]
+            assert np.array_equal(symbolic_power.__wrapped__(G, m)._arr, J), (sorted(G.edges), m)
+            assert np.array_equal(_decomposable_covers.__wrapped__(G, m), D), (sorted(G.edges), m)
+
+
+def test_symbolic_power_peak_memory():
+    # one array of (e | low) rows and one check per touched vertex keep
+    # the peak of C13 at m = 6 near 27 MB; a temporary of rows x touched
+    # vertices x neighbours per step would break the bound
+    tracemalloc.start()
+    try:
+        symbolic_power.__wrapped__(cycle(13), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 28_000_000
 
 
 def test_ordinary_power_matches_plain_ideal_power():
