@@ -49,7 +49,7 @@ def _poly_str(p: Poly, var: str = "m") -> str:
             continue
         mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
         if i == 0:
-            body = str(c)
+            body = str(abs(c))
         elif abs(c) == 1:
             body = mono
         else:

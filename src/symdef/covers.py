@@ -55,8 +55,8 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     e_v = max(0, m - min of e over N(v)) at every vertex v.
 
     Vertices are fixed in label order.  Each partial row is copied once
-    per value of e_v from m down to m - (least e over the fixed
-    neighbours of v), so no edge between fixed vertices sums below m.  A
+    per value of e_v, ascending from m - (least e over the fixed
+    neighbours of v) to m, so no edge between fixed vertices sums below m.  A
     row is dropped when a fixed v with e_v > 0 has no tight fixed
     neighbour (e_u = m - e_v) and no free neighbour u that could still
     take m - e_v, which u can only if every fixed neighbour of u has
@@ -92,18 +92,23 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     state[:, n:] = m
     for v, (low_nbrs, checks) in enumerate(_elimination_plan(G)[1]):
         counts = state[:, n + v] + 1
-        _check_cap(int(counts.sum()))
-        state = state[np.repeat(np.arange(len(state)), counts)]
-        # copy j of a row, counting from 0, gets e_v = m - j
-        state[:, v] = np.repeat(np.cumsum(counts) - counts + m, counts) - np.arange(len(state))
+        ends = np.cumsum(counts)
+        _check_cap(int(ends[-1]))
+        state = np.repeat(state, counts, axis=0)
+        # the copies of row r take indices ends[r] - counts[r] + j for
+        # j = 0..low[v], and copy j gets e_v = m - low[v] + j
+        state[:, v] = np.arange(len(state)) - np.repeat(ends - (m + 1), counts)
         state[:, low_nbrs] = np.minimum(state[:, low_nbrs], state[:, v, None])
         # low[w] + e_w == m: a tight fixed neighbour, or e_w = 0 (all forced to m)
-        keep = np.ones(len(state), dtype=bool)
+        keep = None
         for w, free in checks:
             ok = state[:, n + w] + state[:, w] == m
             if len(free):  # some free neighbour can still take m - e_w
                 ok |= state[:, free].max(axis=1) >= state[:, w]
-            keep &= ok
+            if keep is None:
+                keep = ok
+            else:
+                keep &= ok
         state = state[keep]
     return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n])[0])
 

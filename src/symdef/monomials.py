@@ -3,7 +3,10 @@
 Monomials are exponent vectors over a fixed ambient variable count n.
 Ideals always store their unique minimal generating set, sorted by degree
 ascending, then by exponent tuple descending (the order `_minimal_rows`
-sets), so ideal equality is plain sequence equality.
+sets), so ideal equality is plain sequence equality.  The set is stored
+once, as the rows of one int64 array; equality, hashing and counts read
+that array, and the tuple of Monomial objects is built only when `gens`
+is first read.
 Pairwise lcm/product generation runs on int64 numpy arrays.  Every
 stored row obeys max exponent * n <= EXPONENT_BOUND, so a degree sum
 never wraps.  Divisibility, in minimalization and membership, runs on
@@ -132,7 +135,7 @@ class Monomial:
 _set_exps = Monomial.exps.__set__
 
 
-def _row_monomial(row: list[int]) -> Monomial:
+def _row_monomial(row: Sequence[int]) -> Monomial:
     """A Monomial from a kernel row, whose entries are non-negative Python
     ints already, so `Monomial.__post_init__` is skipped."""
     g = object.__new__(Monomial)
@@ -180,29 +183,35 @@ def _pack(arr: np.ndarray) -> tuple[np.ndarray, np.uint64]:
     return words, np.uint64(ones << (bits - 1))
 
 
-def _divisible(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarray:
-    """For each packed row of `rows`, whether some packed row of `gens`
-    divides it (both from one `_pack`, one column per row).
+def _divides(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarray:
+    """The (rows, gens) matrix of whether packed gen c divides packed row
+    r (both from one `_pack`, one column per row).
 
     Row a divides row b when a <= b in every field.  With the guard bit
     set in each field of b, the subtraction (b | guard) - a borrows
     inside a field only, and leaves that field's guard set iff the
     field of b is at least that of a; a divides b iff every guard
-    survives in every word.  Rows are tested in blocks of at most
+    survives in every word.
+    """
+    lifted = rows | guard
+    acc = lifted[0, :, None] - gens[0]
+    for k in range(1, gens.shape[0]):
+        acc &= lifted[k, :, None] - gens[k]
+    acc &= guard
+    return acc == guard
+
+
+def _divisible(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarray:
+    """For each packed row of `rows`, whether some packed row of `gens`
+    divides it (see `_divides`).  Rows are tested in blocks of at most
     _BLOCK_WORDS words (or one row against all gens, if larger).
     """
     out = np.zeros(rows.shape[1], dtype=bool)
     if gens.shape[1] == 0:
         return out
-    lifted = rows | guard
     step = max(1, _BLOCK_WORDS // gens.shape[1])
     for lo in range(0, rows.shape[1], step):
-        block = lifted[:, lo : lo + step, None]
-        acc = block[0] - gens[0]
-        for k in range(1, gens.shape[0]):
-            acc &= block[k] - gens[k]
-        acc &= guard
-        out[lo : lo + step] = (acc == guard).any(axis=1)
+        out[lo : lo + step] = _divides(gens, rows[:, lo : lo + step], guard).any(axis=1)
     return out
 
 
@@ -227,25 +236,44 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     canonical order: degree ascending, then exponent tuple descending.
 
     A row can be divided only by a row of strictly lower degree, and if
-    it is, then also by a minimal one, so each degree layer is tested
-    against the rows kept from the layers below it.  Rows must be
-    non-negative and obey EXPONENT_BOUND.
+    it is, then also by a minimal one, so the rows of the lowest degree
+    are all kept and every later row is tested against the rows kept
+    below it.  The later degree layers are tested in groups of
+    consecutive layers, one group at a time: a layer joins the group
+    while group rows * (kept rows + group rows) <= _BLOCK_WORDS, so a
+    large layer is a group of its own.  A group of several layers is
+    tested in one block against the kept rows and against its own rows.
+    Its own rows may be non-minimal, but what one of them divides, a
+    kept row divides too; and the only row of the group that divides a
+    row r of the same degree or lower is r itself, so the diagonal of
+    that test is cleared.  Rows must be non-negative and obey
+    EXPONENT_BOUND.
     """
     if arr.shape[0] == 0:
         return arr
     arr, deg, words, guard = _distinct_rows(arr)
-    starts = (np.flatnonzero(np.diff(deg)) + 1).tolist()
-    if not starts:
+    bounds = (np.flatnonzero(np.diff(deg)) + 1).tolist() + [arr.shape[0]]
+    if len(bounds) == 1:
         return arr
     # kept rows are moved to the front of `words`, so words[:, :top] is
     # the packed antichain so far
     keep = np.ones(arr.shape[0], dtype=bool)
-    top = starts[0]
-    for lo, hi in zip(starts, starts[1:] + [arr.shape[0]]):
-        keep[lo:hi] = ~_divisible(words[:, :top], words[:, lo:hi], guard)
-        moved = words[:, lo:hi][:, keep[lo:hi]]
+    top = lo = bounds[0]
+    for hi, after in zip(bounds[1:], bounds[2:] + [0]):
+        if after and (after - lo) * (top + after - lo) <= _BLOCK_WORDS:
+            continue  # the next layer joins the group [lo, hi)
+        group = words[:, lo:hi]
+        if deg[lo] == deg[hi - 1]:
+            ok = ~_divisible(words[:, :top], group, guard)
+        else:
+            div = _divides(np.concatenate((words[:, :top], group), axis=1), group, guard)
+            np.fill_diagonal(div[:, top:], False)
+            ok = ~div.any(axis=1)
+        keep[lo:hi] = ok
+        moved = group[:, ok]
         words[:, top : top + moved.shape[1]] = moved
         top += moved.shape[1]
+        lo = hi
     return arr[keep]
 
 
@@ -259,9 +287,11 @@ class MonomialIdeal:
 
     The zero ideal has no generators; the unit ideal is generated by the
     monomial 1.  Two ideals are equal iff their generator sequences are.
+    The generators are held as the rows of `_arr` only; the tuple of
+    Monomials in `gens` is built the first time it is read.
     """
 
-    __slots__ = ("n", "gens", "_arr")
+    __slots__ = ("n", "_arr", "_gens")
 
     def __init__(self, n: int, gens: Iterable[Monomial | Sequence[int]] = ()):
         rows = []
@@ -281,7 +311,14 @@ class MonomialIdeal:
     def _init_from(self, n: int, minimal: np.ndarray) -> None:
         self.n = n
         self._arr = minimal
-        self.gens = tuple(map(_row_monomial, minimal.tolist()))
+        self._gens = None
+
+    @property
+    def gens(self) -> tuple[Monomial, ...]:
+        """The minimal generators, in canonical order."""
+        if self._gens is None:
+            self._gens = tuple(map(_row_monomial, self._arr.tolist()))
+        return self._gens
 
     @classmethod
     def _from_minimal(cls, n: int, minimal: np.ndarray) -> "MonomialIdeal":
@@ -310,24 +347,28 @@ class MonomialIdeal:
     # -- predicates
 
     def is_zero(self) -> bool:
-        return not self.gens
+        return len(self._arr) == 0
 
     def is_unit(self) -> bool:
-        return len(self.gens) == 1 and self.gens[0].degree == 0
+        return len(self._arr) == 1 and not self._arr.any()
 
     def __eq__(self, other) -> bool:
         if not isinstance(other, MonomialIdeal):
             return NotImplemented
-        return self.n == other.n and self.gens == other.gens
+        return (
+            self.n == other.n
+            and self._arr.shape == other._arr.shape
+            and self._arr.tobytes() == other._arr.tobytes()
+        )
 
     def __hash__(self) -> int:
-        return hash((self.n, self.gens))
+        return hash((self.n, self._arr.shape, self._arr.tobytes()))
 
     def __iter__(self) -> Iterator[Monomial]:
         return iter(self.gens)
 
     def __len__(self) -> int:
-        return len(self.gens)
+        return len(self._arr)
 
     def __repr__(self) -> str:
         body = ", ".join(str(g) for g in self.gens)
@@ -369,16 +410,16 @@ class MonomialIdeal:
 
     def alpha(self) -> int:
         """Minimal degree of a nonzero element (= of a generator)."""
-        if not self.gens:
+        if self.is_zero():
             raise ZeroIdealError("alpha undefined for the zero ideal")
-        return self.gens[0].degree
+        return int(self._arr[0].sum())
 
     def mu(self) -> int:
         """Number of minimal generators."""
-        return len(self.gens)
+        return len(self._arr)
 
     def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(g.degree for g in self.gens)
+        return tuple(self._arr.sum(axis=1).tolist())
 
     # -- arithmetic
 
@@ -394,7 +435,7 @@ class MonomialIdeal:
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        count = len(self.gens) * len(other.gens)
+        count = len(self._arr) * len(other._arr)
         _check_cap(count)
         top = int(self._arr.max(initial=0)) + int(other._arr.max(initial=0))
         _check_exponent_bound(top, self.n)
@@ -419,7 +460,7 @@ class MonomialIdeal:
         self._check_ambient(other)
         if self.is_zero() or other.is_zero():
             return MonomialIdeal.zero(self.n)
-        count = len(self.gens) * len(other.gens)
+        count = len(self._arr) * len(other._arr)
         _check_cap(count)
         cand = np.maximum(self._arr[:, None, :], other._arr[None, :, :]).reshape(count, self.n)
         return MonomialIdeal._from_array(self.n, cand)

@@ -12,7 +12,7 @@ import numpy as np
 
 from .covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
 from .graphs import Graph, cycle, path, triangle_tail
-from .monomials import Monomial, MonomialIdeal, all_ones
+from .monomials import Monomial, MonomialIdeal, _row_monomial, all_ones
 
 MAX_M = 12
 
@@ -67,7 +67,8 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
     inside = set(map(tuple, _decomposable_covers(G, m).tolist()))
-    witnesses = tuple(g for g in symbolic_power(G, m).gens if g.exps not in inside)
+    rows = map(tuple, symbolic_power(G, m)._arr.tolist())
+    witnesses = tuple(_row_monomial(g) for g in rows if g not in inside)
     return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
 
 

@@ -8,6 +8,7 @@ import pytest
 
 from symdef.asymptotics import (
     NoFitError,
+    _poly_str,
     fit_quasipolynomial,
     jacobian_rank_full,
     mu_growth_degree,
@@ -31,6 +32,18 @@ class TestFit:
         assert qp.polys[0] == (Fraction(-2), Fraction(3, 2))
         assert qp.polys[1] == (Fraction(-3, 2), Fraction(3, 2))
         assert [qp.evaluate(m) for m in range(1, 9)] == seq
+
+    @pytest.mark.parametrize(
+        "poly, text",
+        [
+            ((Fraction(-2),), "-2"),
+            ((Fraction(-2), Fraction(17, 4)), "17/4*m - 2"),
+            ((Fraction(-33, 16), Fraction(0), Fraction(-1)), "-m^2 - 33/16"),
+            ((Fraction(5, 4), Fraction(-5, 2)), "-5/2*m + 5/4"),
+        ],
+    )
+    def test_constant_term_sign(self, poly, text):
+        assert _poly_str(poly) == text
 
     def test_constant_zero_sequence(self):
         qp = fit_quasipolynomial([0] * 8, start=1, period=2)

@@ -1,6 +1,8 @@
 """Command-line behavior: output formats, exit codes, resource caps."""
 import dataclasses
 import json
+import re
+from fractions import Fraction
 
 import pytest
 
@@ -87,6 +89,41 @@ def test_fit_c5(capsys):
     row = report["results"][0]
     assert row["period"] == 2 and row["degree"] == 2
     assert row["onset"] <= 4
+
+
+_TERM = re.compile(r"([+-]?)(\d+(?:/\d+)?)?\*?(m(?:\^(\d+))?)?")
+
+
+def _eval_piece(text, m):
+    """Evaluate one printed polynomial, such as "5/4*m^2 - 5/2*m + 1", at m;
+    each term is one sign and one unsigned coefficient and power of m."""
+    total = Fraction(0)
+    for term in text.replace("- ", "-").replace("+ ", "+").split():
+        match = _TERM.fullmatch(term)
+        assert match and (match[2] or match[3]), f"malformed term {term!r} in {text!r}"
+        sign, coeff, mono, power = match.groups()
+        value = Fraction(coeff or 1) * (m ** int(power or 1) if mono else 1)
+        total += -value if sign == "-" else value
+    return total
+
+
+@pytest.mark.parametrize("family", ["C5", "C9"])
+def test_fit_pieces_parse_back_to_the_sequence(capsys, family):
+    # C9's constant terms are negative (-2 and -33/16)
+    code, report, _ = run_json(
+        capsys, "fit", "--family", family, "--m", "1..12", "--period", "2"
+    )
+    assert code == EXIT_OK
+    row = report["results"][0]
+    pieces = {}
+    for piece in row["pieces"]:
+        head, poly = piece.split(": ")
+        pieces[int(head.split()[2])] = poly
+    assert sorted(pieces) == [0, 1]
+    onset = row["onset"] or 1
+    for m, value in enumerate(row["sequence"], start=1):
+        if m >= onset:
+            assert _eval_piece(pieces[m % 2], m) == value, (m, pieces[m % 2])
 
 
 def test_classify2(capsys):
@@ -285,6 +322,14 @@ class TestResourceCap:
         for cap in ("5", "0"):
             code, _, err = run(capsys, "cover-ideal", "--graph", path, "--max-gens", cap)
             assert code == EXIT_RESOURCE and "cap" in err
+
+    def test_flag_applies_to_cached_results(self, capsys):
+        capped = ("sdefect", "--family", "C7", "--m", "3", "--max-gens", "0")
+        assert run(capsys, *capped)[0] == EXIT_RESOURCE
+        # an uncapped run fills the caches with C7's results; the capped
+        # run must not take them from there
+        assert run(capsys, "sdefect", "--family", "C7", "--m", "3")[0] == EXIT_OK
+        assert run(capsys, *capped)[0] == EXIT_RESOURCE
 
     def test_flag_does_not_outlive_the_call(self, capsys):
         run(capsys, "cover-ideal", "--family", "C5", "--max-gens", "0")

@@ -1,8 +1,9 @@
 """Monomial and monomial-ideal arithmetic."""
 import pytest
 
-from symdef.covers import cover_ideal
-from symdef.graphs import complete
+from symdef import monomials
+from symdef.covers import cover_ideal, ordinary_power, symbolic_power
+from symdef.graphs import complete, cycle, path
 from symdef.monomials import (
     AmbientMismatchError,
     ExponentBoundError,
@@ -190,6 +191,51 @@ class TestInvariants:
     def test_mu(self):
         assert MonomialIdeal.zero(2).mu() == 0
         assert cover_ideal(complete(4)).mu() == 4
+
+
+class TestLazyGenerators:
+    @staticmethod
+    def _ideals():
+        """Ideals built by multiply, add and ordinary_power, with equal
+        ideals reached by different routes and with different n."""
+        out = [MonomialIdeal.zero(0), MonomialIdeal.unit(0), MonomialIdeal.zero(2)]
+        for G in (complete(3), cycle(4), cycle(5), path(3)):
+            J = cover_ideal(G)
+            out += [
+                J.multiply(J),
+                ordinary_power(G, 2),
+                ordinary_power(G, 3),
+                J.multiply(J).multiply(J),
+                J.add(ordinary_power(G, 2)),
+                ordinary_power(G, 2).add(J),
+                symbolic_power(G, 2),
+                MonomialIdeal.unit(G.n).multiply(J),
+            ]
+        return out
+
+    def test_equality_and_hash_agree_with_the_generator_tuples(self):
+        ideals = self._ideals()
+        equal_pairs = 0
+        for a in ideals:
+            for b in ideals:
+                same = a.n == b.n and a.gens == b.gens
+                assert (a == b) == same
+                if same:
+                    assert hash(a) == hash(b)
+                    equal_pairs += a is not b
+        assert equal_pairs > 0
+
+    def test_multiply_builds_no_monomials_until_gens_is_read(self, monkeypatch):
+        built = []
+        real = monomials._row_monomial
+        monkeypatch.setattr(monomials, "_row_monomial", lambda row: built.append(row) or real(row))
+        J = MonomialIdeal(3, [(1, 1, 0), (0, 1, 1), (1, 0, 1)])
+        P = J.multiply(J)
+        assert P.mu() == len(P) == 6 and P == J.power(2) and not P.is_zero()
+        assert built == []
+        gens = P.gens
+        assert P.gens is gens and len(built) == 6
+        assert [g.exps for g in gens] == [tuple(row) for row in P._arr.tolist()]
 
 
 class TestGeneratorCap:

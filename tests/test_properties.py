@@ -4,14 +4,17 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from symdef.covers import cover_ideal, ordinary_power, symbolic_power
-from symdef.graphs import Graph
+from symdef.graphs import Graph, parse_family
 from symdef.monomials import (
+    _BLOCK_WORDS,
     EXPONENT_BOUND,
     Monomial,
     MonomialIdeal,
     _distinct_rows,
+    _minimal_rows,
     _pack,
     all_ones,
 )
@@ -124,6 +127,66 @@ def test_packed_sort_matches_pure_python_oracle(case):
     assert deg.tolist() == [sum(r) for r in expected]
     packed, packed_guard = _pack(out)
     assert np.array_equal(words, packed) and guard == packed_guard
+
+
+def _below(gens, rows):
+    """(rows, gens) matrix of whether gen c divides row r, column by column."""
+    acc = np.ones((len(rows), len(gens)), dtype=bool)
+    for j in range(rows.shape[1]):
+        acc &= gens[None, :, j] <= rows[:, None, j]
+    return acc
+
+
+def assert_minimal_rows(arr, out):
+    """`out` is the set of minimal rows of `arr` in canonical order: a
+    subset of `arr`, an antichain, dividing every row of `arr`, sorted by
+    degree ascending, then exponent tuple strictly descending."""
+    assert set(map(tuple, out.tolist())) <= set(map(tuple, arr.tolist()))
+    keys = [(sum(r), [-e for e in r]) for r in out.tolist()]
+    assert all(a < b for a, b in zip(keys, keys[1:]))
+    step = max(1, (1 << 21) // max(1, len(out)))
+    for lo in range(0, len(out), step):
+        # each output row is divided by itself only
+        assert (_below(out, out[lo : lo + step]).sum(axis=1) == 1).all()
+    rest = np.unique(arr, axis=0)
+    for lo in range(0, len(rest), step):
+        assert _below(out, rest[lo : lo + step]).any(axis=1).all()
+
+
+def _closes_a_group_early(arr):
+    """Whether `_minimal_rows` tests `arr` in more than one group: the
+    first group starts above the lowest degree layer, whose rows are all
+    kept, and takes in every later layer iff they fit one block."""
+    deg = _distinct_rows(arr)[1]
+    first = int((deg == deg[0]).sum())
+    rest = len(deg) - first
+    return rest * (first + rest) > _BLOCK_WORDS
+
+
+@pytest.mark.parametrize("family, m", [("T8", 5), ("C9", 6)])
+def test_minimal_rows_of_ordinary_power_candidates(family, m):
+    # the candidates of J^m = J^(m-1) J, whose degree layers hold thousands of rows
+    G = parse_family(family)
+    prev, gens = ordinary_power(G, m - 1)._arr, cover_ideal(G)._arr
+    cand = (prev[:, None, :] + gens[None, :, :]).reshape(-1, G.n)
+    assert _closes_a_group_early(cand)
+    assert_minimal_rows(cand, _minimal_rows(cand))
+
+
+@st.composite
+def layered_rows(draw):
+    """50 to 600 rows in 2 to 4 variables, with exponents up to 1..40:
+    few wide degree layers or many narrow ones."""
+    n = draw(st.integers(min_value=2, max_value=4))
+    top = draw(st.integers(min_value=1, max_value=40))
+    rows = draw(st.integers(min_value=50, max_value=600))
+    return draw(arrays(np.int64, (rows, n), elements=st.integers(0, top), fill=st.nothing()))
+
+
+@settings(max_examples=60, deadline=None)
+@given(layered_rows())
+def test_minimal_rows_in_layer_groups(arr):
+    assert_minimal_rows(arr, _minimal_rows(arr))
 
 
 @pytest.mark.parametrize("gens, inside", [([()], True), ([], False)], ids=["unit", "zero"])
