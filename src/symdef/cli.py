@@ -19,16 +19,6 @@ EXIT_MISMATCH = 2
 EXIT_RESOURCE = 3
 EXIT_INPUT = 4
 
-# Caches of results whose construction counts against the generator cap.
-# A --max-gens run empties them first, so a cached result cannot skip it.
-_CAPPED_CACHES = (
-    covers.cover_ideal,
-    covers.symbolic_power,
-    covers._decomposable_covers,
-    covers.ordinary_power,
-)
-
-
 class CLIInputError(Exception):
     pass
 
@@ -416,8 +406,6 @@ def main(argv=None) -> int:
         return EXIT_INPUT
     previous_cap = monomials.get_generator_cap()
     if args.max_gens is not None:
-        for cached in _CAPPED_CACHES:
-            cached.cache_clear()
         monomials.set_generator_cap(args.max_gens)
     try:
         return args.func(args)

@@ -156,6 +156,10 @@ def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
     return ordinary_power(G, m - 1).multiply(cover_ideal(G))
 
 
+# lowering the generator cap empties these caches (`set_generator_cap`)
+monomials._capped_caches += (cover_ideal, symbolic_power, _decomposable_covers, ordinary_power)
+
+
 def is_m_cover(G: Graph, f: Monomial, m: int) -> bool:
     """True iff the exponents of f sum to at least m on every edge."""
     if f.n != G.n:
@@ -244,5 +248,8 @@ def classify_indecomposable_2cover(G: Graph, f: Monomial) -> Cover2Classificatio
 
 def indecomposability_by_membership(G: Graph, f: Monomial) -> bool:
     """Cross-validation route: a minimal 2-cover is indecomposable iff it
-    lies outside the ordinary square of the cover ideal."""
-    return not ordinary_power(G, 2).contains(f)
+    lies outside J^2, i.e. outside D_2 (`_decomposable_covers`, as in
+    `sdefect_brute`).  Raises ValueError if f is not a minimal 2-cover."""
+    if not is_minimal_mcover(G, f, 2):
+        raise ValueError(f"{f} is not a minimal 2-cover of the graph")
+    return not (_decomposable_covers(G, 2) == f.exps).all(axis=1).any()

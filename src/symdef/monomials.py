@@ -64,8 +64,15 @@ class GeneratorCapExceeded(RuntimeError):
         self.cap = cap
 
 
+# lru_caches of results counted against the generator cap: lowering it empties them
+_capped_caches: list = []
+
+
 def set_generator_cap(cap: int) -> None:
     global _generator_cap
+    if int(cap) < _generator_cap:
+        for cached in _capped_caches:
+            cached.cache_clear()
     _generator_cap = int(cap)
 
 

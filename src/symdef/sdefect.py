@@ -6,13 +6,14 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
-from typing import Callable
+from math import comb
+from typing import Callable, Iterable
 
 import numpy as np
 
 from .covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
 from .graphs import Graph, cycle, path, triangle_tail
-from .monomials import Monomial, MonomialIdeal, _row_monomial, all_ones
+from .monomials import Monomial, MonomialIdeal, _check_cap, _row_monomial, all_ones
 
 MAX_M = 12
 
@@ -73,7 +74,10 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
 
 
 def _not_divisible_count(P: MonomialIdeal, F: Monomial) -> int:
-    return sum(1 for g in P.gens if not F.divides(g))
+    F._check_ambient(all_ones(P.n))
+    if max(F.exps, default=0) > int(P._arr.max(initial=0)):
+        return len(P)  # F divides no generator (and may not fit int64)
+    return int((P._arr < np.array(F.exps, dtype=np.int64)).any(axis=1).sum())
 
 
 def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:
@@ -82,8 +86,8 @@ def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:
     The m = 0 case returns 1 (the unit generator, never divisible by a
     positive-degree F) and m = 1 returns mu(I) whenever F divides no
     generator, matching the seeding conventions of the recursion.  This
-    is the per-power count that `sdefect_recursive` adds up along one
-    walk of the powers of I.
+    is the per-power count that `sdefect_recursive` adds up over the
+    cached powers J^k of `ordinary_power`; here I^m is built afresh.
     """
     if m < 0:
         raise ValueError("nu needs m >= 0")
@@ -154,27 +158,27 @@ def check_indecomposability_exhaustive(
     G: Graph, m_max: int
 ) -> tuple[bool, IndecomposabilityCounterexample | None]:
     """Test every product F^k g_{i_1} ... g_{i_s} (k >= 1, s >= 0,
-    2k + s <= m_max) for membership in the ordinary (2k+s)-th power.
+    2k + s <= m_max) for membership in the ordinary (2k+s)-th power, one
+    `contains_each` batch per (k, s), counted against the cap first.
 
     Returns (True, None) when no product falls in, otherwise (False,
     counterexample), including a factorization of the product into
     2k + s generators when one exists.
     """
     I = cover_ideal(G)
-    F = all_ones(G.n)
     for k in range(1, m_max // 2 + 1):
-        Fk = F ** k
         for s in range(0, m_max - 2 * k + 1):
             m = 2 * k + s
             _check_m(m)
-            power_m = ordinary_power(G, m)
-            for combo in combinations_with_replacement(I.gens, s):
-                prod = Fk
-                for g in combo:
-                    prod = prod * g
-                if power_m.contains(prod):
-                    witness = _decompose(I, prod, m) or ()
-                    return False, IndecomposabilityCounterexample(k, combo, prod, witness)
+            _check_cap(comb(len(I) + s - 1, s))
+            combos = np.array(list(combinations_with_replacement(range(len(I)), s)), dtype=np.intp)
+            prods = list(map(_row_monomial, (k + I._arr[combos].sum(axis=1)).tolist()))
+            hits = ordinary_power(G, m).contains_each(prods)
+            if hits.any():  # the first hit, in the order of the combinations
+                j = int(hits.argmax())
+                combo = tuple(I.gens[i] for i in combos[j])
+                witness = _decompose(I, prods[j], m) or ()
+                return False, IndecomposabilityCounterexample(k, combo, prods[j], witness)
     return True, None
 
 
@@ -184,27 +188,22 @@ def has_unique_extra_2cover(G: Graph) -> bool:
 
 
 def _recursion_values(
-    I: MonomialIdeal, m: int, count: Callable[[MonomialIdeal, int], int]
+    powers: Iterable[MonomialIdeal], m: int, count: Callable[[MonomialIdeal, int], int]
 ) -> int:
     """sdefect via sdefect(m) = sdefect(m-2) + count(I^(m-2), m-2), seeded
     with sdefect(0) = sdefect(1) = 0, i.e. the sum of count(I^k, k) over
-    k = m mod 2, m mod 2 + 2, ..., m - 2.
+    k = m mod 2, m mod 2 + 2, ..., m - 2, with I^k read from `powers`
+    (I^0, I^1, ...).  The count at k = 0 is 1 for both callers, giving
+    sdefect(2) = 1.
 
-    One walk of `I.powers()` supplies I^0, ..., I^(m-2), so the whole sum
-    costs m-3 multiplies for m >= 3 (none below).  The count at k = 0 is 1
-    for both callers, giving sdefect(2) = 1.
-
-    For graphs with a unique extra 2-cover, I = J and the count is
-    `nu(J, k, F)`: the generators of J^k not divisible by F.  For the odd
-    n-cycle, I = S (the staircase ideal) and the count is the number of
-    generators of S^k that are minimal k-covers of C_n; see
-    `sdefect_cycle`.
+    For graphs with a unique extra 2-cover, I = J, the powers come from
+    the cache of `ordinary_power`, and the count is `nu(J, k, F)`: the
+    generators of J^k not divisible by F.  For the odd n-cycle, I = S
+    (the staircase ideal), the powers are one walk of `S.powers()`, and
+    the count is the number of generators of S^k that are minimal
+    k-covers of C_n; see `sdefect_cycle`.
     """
-    return sum(
-        count(P, k)
-        for k, P in enumerate(islice(I.powers(), m - 1))
-        if k % 2 == m % 2
-    )
+    return sum(count(P, k) for k, P in enumerate(islice(powers, m - 1)) if k % 2 == m % 2)
 
 
 def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectReport:
@@ -236,9 +235,9 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
             method = "recursion(exhaustive-check)"
     else:
         method = "recursion-unchecked"
-    I = cover_ideal(G)
     F = all_ones(G.n)
-    value = _recursion_values(I, m, lambda P, k: _not_divisible_count(P, F))
+    powers = (ordinary_power(G, k) for k in range(m - 1))
+    value = _recursion_values(powers, m, lambda P, k: _not_divisible_count(P, F))
     return SdefectReport(_graph_id(G), m, value, method)
 
 
@@ -277,9 +276,6 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         sdefect(m) = sdefect(m-2) + nu(m-2),
         nu(k) = #{g in G(S^k) : g is a minimal k-cover of C_n}.
 
-    The powers S^0, ..., S^(m-2) come from one walk of `S.powers()`, each
-    one multiply past the previous (see `_recursion_values`).
-
     Rule of earlier versions: nu(k) counted only the generators of S^k
     not divisible by F, the product of all variables.  That misses the
     generators of S^k that F divides yet that are still minimal k-covers,
@@ -303,7 +299,7 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
     G = cycle(n)
-    value = _recursion_values(staircase_ideal(n), m, _minimal_cycle_cover_count)
+    value = _recursion_values(staircase_ideal(n).powers(), m, _minimal_cycle_cover_count)
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")
 
 
@@ -324,7 +320,9 @@ def verify_triangle_tail(n: int) -> TriangleTailReport:
     """Check sdefect(J(T_n), 2) = sdefect(J(T_{n-1}), 2) + mu(J(P)^2)
     with P read either as a path with n-4 edges or with n-4 vertices.
 
-    Both sides are computed by brute force; the report names the
+    The sdefects are computed by brute force and mu(J(P)^2) is read from
+    `symbolic_power(P, 2)`: P is bipartite, so J(P)^2 = J(P)^(2) (Herzog-
+    Hibi-Trung, Adv. Math. 210 (2007), Thm 5.1).  The report names the
     convention under which equality holds.
     """
     if n < 5:
@@ -336,6 +334,6 @@ def verify_triangle_tail(n: int) -> TriangleTailReport:
         if vertices < 1:
             continue
         P = path(vertices)
-        rights[convention] = previous + ordinary_power(P, 2).mu()
+        rights[convention] = previous + symbolic_power(P, 2).mu()
     held = [c for c, v in rights.items() if v == left]
     return TriangleTailReport(n, left, previous, rights, held[0] if held else None)

@@ -113,7 +113,7 @@ def test_symbolic_power_without_edges_at_some_vertex():
 def test_symbolic_power_partial_rows_stay_small():
     # the drop rule for vertices without a tight neighbour keeps K7 at
     # m = 10 to at most 141 partial rows per vertex; without it, 423,541
-    build = symbolic_power.__wrapped__  # bypass the cache, which skips the cap
+    build = symbolic_power.__wrapped__  # uncached: every call runs under the cap
     old = get_generator_cap()
     try:
         set_generator_cap(20_000)
@@ -130,7 +130,7 @@ def test_symbolic_power_touched_vertices_prune_like_all_fixed():
     # the same partial rows as re-checking every fixed vertex: on C13 at
     # m = 4 the largest step copies 13,255 rows either way, and skipping
     # the free neighbours' neighbours would copy 14,890
-    build = symbolic_power.__wrapped__  # bypass the cache, which skips the cap
+    build = symbolic_power.__wrapped__  # uncached: every call runs under the cap
     old = get_generator_cap()
     try:
         set_generator_cap(13_255)
@@ -245,8 +245,44 @@ class TestClassify2:
                     assert cls.u > 0
         assert kinds == {"all_ones", "szt"}
 
-    def test_agrees_with_membership(self):
-        for G in (complete(4), cycle(5), triangle_tail(2), triangle_tail(3)):
+    def test_agrees_with_membership(self, connected_atlas):
+        # the D_2 route against membership in the built square J^2
+        for G in connected_atlas:
+            square = ordinary_power(G, 2)
             for f in minimal_mcovers(G, 2):
                 structural = classify_indecomposable_2cover(G, f) is not None
-                assert structural == indecomposability_by_membership(G, f)
+                by_membership = indecomposability_by_membership(G, f)
+                assert structural == by_membership == (not square.contains(f)), (G.edges, f)
+
+    def test_membership_refuses_non_minimal(self):
+        G = complete(3)
+        for f in (Monomial((2, 2, 2)), Monomial((3, 3, 0)), Monomial((1, 1)), Monomial((1, 1, 0))):
+            with pytest.raises(ValueError):
+                indecomposability_by_membership(G, f)
+
+
+def test_path_square_is_symbolic_square():
+    # paths are bipartite, so J(P)^(2) = J(P)^2 (Herzog-Hibi-Trung, Thm 5.1),
+    # and verify_triangle_tail may read mu(J(P)^2) from J(P)^(2)
+    for n in range(1, 15):
+        P = path(n)
+        assert symbolic_power(P, 2).mu() == ordinary_power(P, 2).mu()
+
+
+def test_lowering_the_cap_empties_the_caches():
+    G = cycle(7)
+    built = (cover_ideal(G), symbolic_power(G, 3), _decomposable_covers(G, 3), ordinary_power(G, 3))
+    old = get_generator_cap()
+    try:
+        set_generator_cap(old + 1)  # raising keeps the cached results
+        assert symbolic_power(G, 3) is built[1]
+        assert ordinary_power(G, 3) is built[3]
+        set_generator_cap(0)
+        with pytest.raises(GeneratorCapExceeded):
+            cover_ideal(G)
+        for cached in (symbolic_power, _decomposable_covers, ordinary_power):
+            with pytest.raises(GeneratorCapExceeded):
+                cached(G, 3)
+    finally:
+        set_generator_cap(old)
+    assert symbolic_power(G, 3) == built[1]

@@ -8,8 +8,9 @@ import pytest
 
 from symdef import monomials
 from symdef.covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
-from symdef.graphs import Graph, complete, cycle, path
+from symdef.graphs import Graph, complete, cycle, path, triangle_tail
 from symdef.monomials import (
+    AmbientMismatchError,
     GeneratorCapExceeded,
     Monomial,
     MonomialIdeal,
@@ -19,6 +20,7 @@ from symdef.monomials import (
 )
 from symdef.sdefect import (
     PreconditionError,
+    _not_divisible_count,
     check_indecomposability_conditions,
     check_indecomposability_exhaustive,
     has_unique_extra_2cover,
@@ -114,7 +116,7 @@ class TestBruteWithoutOrdinaryPower:
     def test_chain_counts_against_cap(self):
         G = cycle(7)
         count = len(_decomposable_covers(G, 3)) * len(cover_ideal(G))
-        build = _decomposable_covers.__wrapped__  # bypass the cache, which skips the cap
+        build = _decomposable_covers.__wrapped__  # uncached: every call runs under the cap
         old = get_generator_cap()
         try:
             set_generator_cap(count - 1)
@@ -157,6 +159,18 @@ class TestNu:
         # in I^2, only the three squares g_i^2 avoid divisibility by x1x2x3
         assert nu(I, 2, all_ones(3)) == 3
 
+    def test_array_count_matches_monomial_loop(self):
+        rng = random.Random(11)
+        for _ in range(300):
+            n = rng.randint(1, 4)
+            rows = [[rng.randint(0, 3) for _ in range(n)] for _ in range(rng.randint(0, 6))]
+            P = MonomialIdeal(n, rows)
+            # 2**70 does not fit int64: no generator reaches it
+            F = Monomial([rng.choice((0, 1, 2, 3, 2**70)) for _ in range(n)])
+            assert _not_divisible_count(P, F) == sum(1 for g in P.gens if not F.divides(g))
+        with pytest.raises(AmbientMismatchError):
+            nu(cover_ideal(complete(3)), 2, all_ones(2))
+
 
 class TestRecursion:
     def test_matches_brute_on_complete_graphs(self):
@@ -183,6 +197,22 @@ class TestRecursion:
             rep = sdefect_recursive(G, m)
             assert rep.method == "recursion(exhaustive-check)"
             assert rep.value == sdefect_brute(G, m).value == expected
+
+    def test_powers_come_from_the_ordinary_power_cache(self, monkeypatch):
+        calls = []
+        real = MonomialIdeal.multiply
+
+        def counting(self, other):
+            calls.append(1)
+            return real(self, other)
+
+        ordinary_power.cache_clear()
+        monkeypatch.setattr(MonomialIdeal, "multiply", counting)
+        G = complete(6)
+        values = [sdefect_recursive(G, m).value for m in range(1, 13)]
+        # J^2, ..., J^10, each built once for all twelve calls
+        assert len(calls) == 9
+        assert values == [sdefect_brute(G, m).value for m in range(1, 13)]
 
     def test_rejects_bipartite(self):
         with pytest.raises(PreconditionError):
@@ -222,6 +252,19 @@ class TestIndecomposabilityEvidence:
     def test_exhaustive_clean_on_c5(self):
         ok, counter = check_indecomposability_exhaustive(cycle(5), 6)
         assert ok and counter is None
+
+    def test_exhaustive_batch_counts_against_cap(self):
+        # T5 has 11 minimal covers; at m = 10 the batch k = 1, s = 8 holds
+        # C(18, 8) = 43,758 products, more than any multiply before it
+        G = triangle_tail(5)
+        old = get_generator_cap()
+        try:
+            set_generator_cap(43_757)
+            with pytest.raises(GeneratorCapExceeded) as exc:
+                check_indecomposability_exhaustive(G, 10)
+            assert exc.value.candidates == 43_758
+        finally:
+            set_generator_cap(old)
 
 
 class TestOddCycles:
