@@ -350,13 +350,12 @@ def _cmd_verify(args) -> int:
 # argument wiring
 
 
-def _add_common(p, graph_source=True, needs_m=False):
+def _add_common(p, needs_m=False):
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
     p.add_argument("--max-gens", type=int, default=None, help="generator cap override")
-    if graph_source:
-        src = p.add_mutually_exclusive_group()
-        src.add_argument("--family", help='family shorthand, e.g. "K5", "C7", "P4", "T3"')
-        src.add_argument("--graph", help="path to a graph JSON file")
+    src = p.add_mutually_exclusive_group()
+    src.add_argument("--family", help='family shorthand, e.g. "K5", "C7", "P4", "T3"')
+    src.add_argument("--graph", help="path to a graph JSON file")
     if needs_m:
         p.add_argument("--m", required=True, help='m value or range, e.g. "3" or "1..6"')
 

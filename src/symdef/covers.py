@@ -113,13 +113,23 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n])[0])
 
 
+def _minimal_cover_rows(G: Graph, rows: np.ndarray, m: int) -> np.ndarray:
+    """Which rows are minimal vertex m-covers of G: the rows e with
+    e_v = max(0, m - min of e over N(v)) at every vertex v
+    (Herzog-Hibi-Trung), as a boolean mask."""
+    ok = np.ones(len(rows), dtype=bool)
+    for v, cols in enumerate(_elimination_plan(G)[0]):
+        ok &= rows[:, v] == np.maximum(0, m - rows[:, cols].min(axis=1, initial=m))
+    return ok
+
+
 @lru_cache(maxsize=None)
 def _decomposable_covers(G: Graph, m: int) -> np.ndarray:
     """D_m, for m >= 1: the minimal vertex m-covers that are sums of m
     minimal vertex covers, as rows in canonical order.
 
     D_1 = G(J).  D_m holds the sums d + c, d in D_(m-1) and c in G(J),
-    that satisfy the equation of `symbolic_power` at m; this misses none,
+    that are minimal m-covers (`_minimal_cover_rows`); this misses none,
     since for a minimal m-cover g = c_1 + ... + c_m, g - c_m is a minimal
     (m-1)-cover.  The |D_(m-1)| * |G(J)| sums count against the generator
     cap and are built in blocks of rows of D_(m-1), about _BLOCK_WORDS
@@ -131,15 +141,11 @@ def _decomposable_covers(G: Graph, m: int) -> np.ndarray:
         return gens
     prev = _decomposable_covers(G, m - 1)
     _check_cap(len(prev) * len(gens))
-    nbrs = _elimination_plan(G)[0]
     step = max(1, monomials._BLOCK_WORDS // len(gens))
     kept = []
     for lo in range(0, len(prev), step):
         cand = (prev[lo : lo + step, None, :] + gens[None, :, :]).reshape(-1, G.n)
-        ok = np.ones(len(cand), dtype=bool)
-        for v, cols in enumerate(nbrs):
-            ok &= cand[:, v] == np.maximum(0, m - cand[:, cols].min(axis=1, initial=m))
-        kept.append(_distinct_rows(cand[ok])[0])
+        kept.append(_distinct_rows(cand[_minimal_cover_rows(G, cand, m)])[0])
     return kept[0] if len(kept) == 1 else _distinct_rows(np.vstack(kept))[0]
 
 
@@ -236,9 +242,8 @@ def classify_indecomposable_2cover(G: Graph, f: Monomial) -> Cover2Classificatio
         return None
     if set(T) != G.neighbors_of_set(S):
         return None
-    # g = prod(T) must not be a vertex cover
-    g = Monomial(tuple(1 if i in set(T) else 0 for i in range(G.n)))
-    if is_m_cover(G, g, 1):
+    # prod(T) must not be a vertex cover
+    if all(i in T or j in T for i, j in G.edges):
         return None
     induced = G.induced_subgraph(U)
     if induced.has_isolated_vertex() or induced.is_bipartite():

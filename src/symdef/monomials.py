@@ -403,8 +403,12 @@ class MonomialIdeal:
                 raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {m.n}")
             clipped.append([min(e, top) for e in m.exps])
         rows = np.array(clipped, dtype=np.int64)
-        both = np.vstack([self._arr, rows.reshape(len(monomials), self.n)])
-        words, guard = _pack(both)
+        return self._contains_rows(rows.reshape(len(monomials), self.n))
+
+    def _contains_rows(self, rows: np.ndarray) -> np.ndarray:
+        """`contains_each` on the rows of a non-negative int64 array with
+        n columns: one boolean per row."""
+        words, guard = _pack(np.vstack([self._arr, rows]))
         k = self._arr.shape[0]
         return _divisible(words[:, :k], words[:, k:], guard)
 

@@ -7,13 +7,25 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from itertools import combinations_with_replacement, islice
 from math import comb
-from typing import Callable, Iterable
 
 import numpy as np
 
-from .covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
+from .covers import (
+    _decomposable_covers,
+    _minimal_cover_rows,
+    cover_ideal,
+    ordinary_power,
+    symbolic_power,
+)
 from .graphs import Graph, cycle, path, triangle_tail
-from .monomials import Monomial, MonomialIdeal, _check_cap, _row_monomial, all_ones
+from .monomials import (
+    AmbientMismatchError,
+    Monomial,
+    MonomialIdeal,
+    _check_cap,
+    _row_monomial,
+    all_ones,
+)
 
 MAX_M = 12
 
@@ -74,7 +86,8 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
 
 
 def _not_divisible_count(P: MonomialIdeal, F: Monomial) -> int:
-    F._check_ambient(all_ones(P.n))
+    if F.n != P.n:
+        raise AmbientMismatchError(f"ambient sizes differ: {F.n} vs {P.n}")
     if max(F.exps, default=0) > int(P._arr.max(initial=0)):
         return len(P)  # F divides no generator (and may not fit int64)
     return int((P._arr < np.array(F.exps, dtype=np.int64)).any(axis=1).sum())
@@ -86,8 +99,8 @@ def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:
     The m = 0 case returns 1 (the unit generator, never divisible by a
     positive-degree F) and m = 1 returns mu(I) whenever F divides no
     generator, matching the seeding conventions of the recursion.  This
-    is the per-power count that `sdefect_recursive` adds up over the
-    cached powers J^k of `ordinary_power`; here I^m is built afresh.
+    is the count that `sdefect_recursive` adds up over the cached powers
+    J^k of `ordinary_power`; here I^m is built afresh.
     """
     if m < 0:
         raise ValueError("nu needs m >= 0")
@@ -105,7 +118,8 @@ def check_indecomposability_conditions(G: Graph) -> IndecomposabilityCertificate
     """Check the three sufficient generator-shape conditions under which
     no product F^k g_{i_1} ... g_{i_s} falls into the ordinary power."""
     I = cover_ideal(G)
-    degs = sorted(set(I.generator_degrees()))
+    deg = I._arr.sum(axis=1)
+    degs = sorted(set(deg.tolist()))
     deg_F = G.n
     if len(degs) == 1:
         a = degs[0]
@@ -115,16 +129,13 @@ def check_indecomposability_conditions(G: Graph) -> IndecomposabilityCertificate
     if len(degs) == 2:
         a1, a2 = degs
         if deg_F < a1 + a2:
-            low = [g for g in I.gens if g.degree == a1]
-            high = [g for g in I.gens if g.degree == a2]
-            for j in range(G.n):
-                if all(g.exps[j] for g in low) and not any(h.exps[j] for h in high):
-                    return IndecomposabilityCertificate(2, (a1, a2), (j,))
-            shared = tuple(
-                j
-                for j in range(G.n)
-                if all(h.exps[j] for h in high) and not any(g.exps[j] for g in low)
-            )
+            # the columns j that every generator of one degree uses and no
+            # generator of the other does
+            low, high = I._arr[deg == a1] > 0, I._arr[deg == a2] > 0
+            only_low = np.flatnonzero(low.all(axis=0) & ~high.any(axis=0)).tolist()
+            if only_low:
+                return IndecomposabilityCertificate(2, (a1, a2), (only_low[0],))
+            shared = tuple(np.flatnonzero(high.all(axis=0) & ~low.any(axis=0)).tolist())
             if a2 - a1 <= len(shared) and shared:
                 return IndecomposabilityCertificate(3, (a1, a2), shared)
         return IndecomposabilityCertificate(None, (a1, a2))
@@ -159,7 +170,8 @@ def check_indecomposability_exhaustive(
 ) -> tuple[bool, IndecomposabilityCounterexample | None]:
     """Test every product F^k g_{i_1} ... g_{i_s} (k >= 1, s >= 0,
     2k + s <= m_max) for membership in the ordinary (2k+s)-th power, one
-    `contains_each` batch per (k, s), counted against the cap first.
+    batch of product rows per (k, s), counted against the cap first; only
+    the first product found inside becomes a Monomial.
 
     Returns (True, None) when no product falls in, otherwise (False,
     counterexample), including a factorization of the product into
@@ -172,13 +184,14 @@ def check_indecomposability_exhaustive(
             _check_m(m)
             _check_cap(comb(len(I) + s - 1, s))
             combos = np.array(list(combinations_with_replacement(range(len(I)), s)), dtype=np.intp)
-            prods = list(map(_row_monomial, (k + I._arr[combos].sum(axis=1)).tolist()))
-            hits = ordinary_power(G, m).contains_each(prods)
+            prods = k + I._arr[combos].sum(axis=1)
+            hits = ordinary_power(G, m)._contains_rows(prods)
             if hits.any():  # the first hit, in the order of the combinations
                 j = int(hits.argmax())
                 combo = tuple(I.gens[i] for i in combos[j])
-                witness = _decompose(I, prods[j], m) or ()
-                return False, IndecomposabilityCounterexample(k, combo, prods[j], witness)
+                product = _row_monomial(prods[j].tolist())
+                witness = _decompose(I, product, m) or ()
+                return False, IndecomposabilityCounterexample(k, combo, product, witness)
     return True, None
 
 
@@ -187,28 +200,15 @@ def has_unique_extra_2cover(G: Graph) -> bool:
     return sdefect_brute(G, 2).value == 1
 
 
-def _recursion_values(
-    powers: Iterable[MonomialIdeal], m: int, count: Callable[[MonomialIdeal, int], int]
-) -> int:
-    """sdefect via sdefect(m) = sdefect(m-2) + count(I^(m-2), m-2), seeded
-    with sdefect(0) = sdefect(1) = 0, i.e. the sum of count(I^k, k) over
-    k = m mod 2, m mod 2 + 2, ..., m - 2, with I^k read from `powers`
-    (I^0, I^1, ...).  The count at k = 0 is 1 for both callers, giving
-    sdefect(2) = 1.
-
-    For graphs with a unique extra 2-cover, I = J, the powers come from
-    the cache of `ordinary_power`, and the count is `nu(J, k, F)`: the
-    generators of J^k not divisible by F.  For the odd n-cycle, I = S
-    (the staircase ideal), the powers are one walk of `S.powers()`, and
-    the count is the number of generators of S^k that are minimal
-    k-covers of C_n; see `sdefect_cycle`.
-    """
-    return sum(count(P, k) for k, P in enumerate(islice(powers, m - 1)) if k % 2 == m % 2)
-
-
 def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectReport:
     """Symbolic defect via the recursion for graphs whose only extra
-    2-cover is the product of all variables.
+    2-cover is the product F of all variables:
+
+        sdefect(m) = sdefect(m-2) + nu(J, m-2, F),  sdefect(0) = sdefect(1) = 0,
+
+    i.e. the sum of nu(J, k, F), the generators of J^k not divisible by
+    F, over k = m mod 2, m mod 2 + 2, ..., m - 2 (nu(J, 0, F) = 1 gives
+    sdefect(2) = 1).  Each J^k is read from the cache of `ordinary_power`.
 
     Preconditions (checked unless `unchecked`): sdefect(J(G), 2) == 1 and
     indecomposability evidence, either one of the three sufficient
@@ -236,8 +236,9 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
     else:
         method = "recursion-unchecked"
     F = all_ones(G.n)
-    powers = (ordinary_power(G, k) for k in range(m - 1))
-    value = _recursion_values(powers, m, lambda P, k: _not_divisible_count(P, F))
+    value = sum(
+        _not_divisible_count(ordinary_power(G, k), F) for k in range(m % 2, m - 1, 2)
+    )
     return SdefectReport(_graph_id(G), m, value, method)
 
 
@@ -256,34 +257,17 @@ def staircase_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, gens)
 
 
-def _minimal_cycle_cover_count(P: MonomialIdeal, k: int) -> int:
-    """Number of generators of P that are minimal k-covers of the n-cycle,
-    for P whose generators are all k-covers (e.g. a power S^k of the
-    staircase ideal).
-
-    A k-cover g is minimal iff no exponent can drop, i.e. every vertex i
-    with g_i > 0 lies on an edge {i, j} with g_i + g_j = k.
-    """
-    arr = P._arr
-    tight = (arr + np.roll(arr, 1, axis=1) == k) | (arr + np.roll(arr, -1, axis=1) == k)
-    return int(((arr == 0) | tight).all(axis=1).sum())
-
-
 def sdefect_cycle(n: int, m: int) -> SdefectReport:
     """Symbolic defect of the odd n-cycle via the recursion driven by the
     staircase ideal S (equal to the cover ideal for n <= 7):
 
-        sdefect(m) = sdefect(m-2) + nu(m-2),
-        nu(k) = #{g in G(S^k) : g is a minimal k-cover of C_n}.
+        sdefect(m) = sdefect(m-2) + nu(m-2),  sdefect(0) = sdefect(1) = 0,
+        nu(k) = #{g in G(S^k) : g is a minimal k-cover of C_n},
 
-    Rule of earlier versions: nu(k) counted only the generators of S^k
-    not divisible by F, the product of all variables.  That misses the
-    generators of S^k that F divides yet that are still minimal k-covers,
-    each giving a new witness F*g at m = k + 2.  The first is the family
-    of rotations of x1 x2^2 x3^2 x4 x5^2 x6^2 x7 x8^2 x9^2 = F * x2x3x5x6x8x9,
-    a product of three staircase covers of C9 (k = 3; 3 of them, and 9 at
-    k = 4; 11 on C11 at k = 3); the old rule gave 99, 217, 414 for C9 at
-    m = 5, 6, 7 against 102, 226, 435.
+    i.e. the sum of nu(k) over k = m mod 2, m mod 2 + 2, ..., m - 2, with
+    S^k read from one walk of `S.powers()` (nu(0) = 1 gives
+    sdefect(2) = 1).  Every generator of S^k is a k-cover, so nu(k)
+    counts the rows of S^k that `covers._minimal_cover_rows` accepts.
 
     Proved: sdefect(m) = #{h in G(J^(m-2)) : F*h not in J^m}, from
     J^(m) = J^m + F*J^(m-2), which holds since the symbolic Rees algebra
@@ -299,7 +283,8 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
     G = cycle(n)
-    value = _recursion_values(staircase_ideal(n).powers(), m, _minimal_cycle_cover_count)
+    powers = enumerate(islice(staircase_ideal(n).powers(), m - 1))
+    value = sum(int(_minimal_cover_rows(G, P._arr, k).sum()) for k, P in powers if k % 2 == m % 2)
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")
 
 

@@ -8,6 +8,7 @@ import pytest
 from symdef.covers import (
     _decomposable_covers,
     _elimination_plan,
+    _minimal_cover_rows,
     classify_indecomposable_2cover,
     cover_ideal,
     enumerate_minimal_mcovers,
@@ -66,6 +67,19 @@ def test_symbolic_power_against_direct_enumeration():
     for G in (complete(3), complete(4), cycle(5), path(4), triangle_tail(2)):
         for m in (1, 2, 3):
             assert minimal_mcovers(G, m) == enumerate_minimal_mcovers(G, m)
+
+
+def test_minimal_cover_rows_match_direct_enumeration(connected_atlas):
+    # the equation shared by D_m and the cycle recursion, against the
+    # oracle on every row of {0..m}^n
+    for G in connected_atlas:
+        if G.n > 5:
+            continue
+        for m in range(4):
+            grid = np.indices((m + 1,) * G.n).reshape(G.n, -1).T
+            minimal = {g.exps for g in enumerate_minimal_mcovers(G, m)}
+            expected = [tuple(row) in minimal for row in grid.tolist()]
+            assert _minimal_cover_rows(G, grid, m).tolist() == expected
 
 
 def _intersection_fold(G: Graph, m: int) -> MonomialIdeal:

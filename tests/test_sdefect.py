@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symdef import monomials
+from symdef import sdefect as sdefect_module
 from symdef.covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
 from symdef.graphs import Graph, complete, cycle, path, triangle_tail
 from symdef.monomials import (
@@ -253,6 +254,21 @@ class TestIndecomposabilityEvidence:
         ok, counter = check_indecomposability_exhaustive(cycle(5), 6)
         assert ok and counter is None
 
+    def test_exhaustive_builds_a_monomial_for_its_hit_only(self, monkeypatch, tripod_triangle):
+        built = []
+        real = sdefect_module._row_monomial
+
+        def counting(row):
+            built.append(row)
+            return real(row)
+
+        monkeypatch.setattr(sdefect_module, "_row_monomial", counting)
+        assert check_indecomposability_exhaustive(cycle(5), 6) == (True, None)
+        assert built == []
+        ok, counter = check_indecomposability_exhaustive(tripod_triangle, 3)
+        assert not ok
+        assert built == [list(counter.product.exps)]
+
     def test_exhaustive_batch_counts_against_cap(self):
         # T5 has 11 minimal covers; at m = 10 the batch k = 1, s = 8 holds
         # C(18, 8) = 43,758 products, more than any multiply before it
@@ -308,6 +324,11 @@ class TestOddCycles:
 
     def test_c11_recursion_at_five(self):
         assert sdefect_cycle(11, 5).value == sdefect_brute(cycle(11), 5).value == 187
+
+    def test_larger_cycles_match_brute(self):
+        for n, ms in ((11, [6]), (13, range(1, 6)), (15, range(1, 4))):
+            for m in ms:
+                assert sdefect_cycle(n, m).value == sdefect_brute(cycle(n), m).value
 
 
 class TestPowerChain:
