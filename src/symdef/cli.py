@@ -7,6 +7,7 @@ Exit codes: 0 success, 2 verification mismatch, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -57,7 +58,7 @@ def _load_graph(args) -> graphs.Graph:
         raise CLIInputError("one graph source is required: --family or --graph")
     try:
         return graphs.Graph.from_json_file(path)
-    except (OSError, ValueError, KeyError, TypeError) as exc:
+    except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
         raise CLIInputError(f"cannot read graph from {path}: {exc}") from exc
 
 
@@ -268,7 +269,7 @@ def _cmd_verify(args) -> int:
     ok = True
     if identity == "kn":
         n_lo, n_hi = _parse_range(args.n or "3..5")
-        m_lo, m_hi = _parse_range(args.m or "2..8")
+        m_lo, m_hi = _parse_m_range(args.m or "2..8")
         if n_lo < 3:
             raise CLIInputError(
                 "the K_n closed form needs n >= 3; compute sdefect directly below that"
@@ -285,7 +286,7 @@ def _cmd_verify(args) -> int:
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
     elif identity == "cycle":
         n_lo, n_hi = _parse_range(args.n or "5..7")
-        m_lo, m_hi = _parse_range(args.m or "2..5")
+        m_lo, m_hi = _parse_m_range(args.m or "2..5")
         for n in range(n_lo, n_hi + 1):
             if n % 2 == 0:
                 continue
@@ -397,28 +398,17 @@ def build_parser() -> _Parser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except CLIInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
-    previous_cap = monomials.get_generator_cap()
-    if args.max_gens is not None:
-        monomials.set_generator_cap(args.max_gens)
-    try:
-        return args.func(args)
-    except CLIInputError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        args = build_parser().parse_args(argv)
+        cap = args.max_gens
+        with contextlib.nullcontext() if cap is None else monomials.generator_cap(cap):
+            return args.func(args)
     except monomials.GeneratorCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (sdefect.PreconditionError, graphs.GraphTooLargeError, ValueError) as exc:
+    except (CLIInputError, graphs.GraphTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
-    finally:
-        monomials.set_generator_cap(previous_cap)
 
 
 if __name__ == "__main__":  # pragma: no cover

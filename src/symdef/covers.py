@@ -15,7 +15,6 @@ from .monomials import Monomial, MonomialIdeal, _check_cap, _distinct_rows
 ENUMERATION_BUDGET = 2_000_000
 
 
-@lru_cache(maxsize=None)
 def cover_ideal(G: Graph) -> MonomialIdeal:
     """J = J^(1), generated by the minimal vertex covers: the 0/1 solutions
     of the equation of `symbolic_power` at m = 1 (the unit ideal if no edge)."""
@@ -162,8 +161,8 @@ def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
     return ordinary_power(G, m - 1).multiply(cover_ideal(G))
 
 
-# lowering the generator cap empties these caches (`set_generator_cap`)
-monomials._capped_caches += (cover_ideal, symbolic_power, _decomposable_covers, ordinary_power)
+# lowering the generator cap empties these caches (`monomials.generator_cap`)
+monomials._capped_caches += (symbolic_power, _decomposable_covers, ordinary_power)
 
 
 def is_m_cover(G: Graph, f: Monomial, m: int) -> bool:

@@ -19,6 +19,7 @@ lexsort on the degree and the packed words.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
 from dataclasses import dataclass
 from itertools import islice
 from typing import Iterable, Iterator, Sequence
@@ -68,16 +69,28 @@ class GeneratorCapExceeded(RuntimeError):
 _capped_caches: list = []
 
 
-def set_generator_cap(cap: int) -> None:
+def _set_cap(cap: int) -> None:
     global _generator_cap
-    if int(cap) < _generator_cap:
+    if cap < _generator_cap:
         for cached in _capped_caches:
             cached.cache_clear()
-    _generator_cap = int(cap)
+    _generator_cap = cap
 
 
-def get_generator_cap() -> int:
-    return _generator_cap
+@contextmanager
+def generator_cap(cap: int) -> Iterator[None]:
+    """Bound every intermediate generating set by `cap` inside the block;
+    the previous cap comes back on exit.  Each step down, on entry or on
+    restore, empties `_capped_caches`, so the cap in force decides every
+    answer, cached or not."""
+    if cap < 0:
+        raise ValueError(f"generator cap must be >= 0, got {cap}")
+    previous = _generator_cap
+    _set_cap(int(cap))
+    try:
+        yield
+    finally:
+        _set_cap(previous)
 
 
 @dataclass(frozen=True, slots=True)
@@ -428,9 +441,6 @@ class MonomialIdeal:
     def mu(self) -> int:
         """Number of minimal generators."""
         return len(self._arr)
-
-    def generator_degrees(self) -> tuple[int, ...]:
-        return tuple(self._arr.sum(axis=1).tolist())
 
     # -- arithmetic
 

@@ -11,13 +11,6 @@ from symdef.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, main
 from symdef.graphs import MAX_VERTICES, Graph
 
 
-@pytest.fixture(autouse=True)
-def _restore_generator_cap():
-    old = monomials.get_generator_cap()
-    yield
-    monomials.set_generator_cap(old)
-
-
 def run(capsys, *argv):
     code = main(list(argv))
     captured = capsys.readouterr()
@@ -225,10 +218,11 @@ class TestInputErrors:
             '{"n": 3, "edges": [[1.9, 2]]}',
             '{"n": 3, "edges": [[true, 2]]}',
             '{"n": 0, "edges": []}',
+            "[" * 200_000 + "]" * 200_000,
         ],
         ids=[
             "list", "edges-int", "null-vertex", "n-float", "n-bool", "n-string",
-            "float-vertex", "bool-vertex", "n-zero",
+            "float-vertex", "bool-vertex", "n-zero", "deep-nesting",
         ],
     )
     def test_malformed_graph_json(self, capsys, tmp_path, text):
@@ -289,6 +283,15 @@ class TestInputErrors:
         assert (code, out) == (EXIT_INPUT, "")
         assert f"1..{sdefect.MAX_M}" in err
 
+    @pytest.mark.parametrize(
+        "argv", [["kn", "--n", "3..3"], ["cycle", "--n", "5..5"]], ids=["kn", "cycle"]
+    )
+    def test_verify_m_beyond_cap(self, capsys, argv):
+        # refused before any m is computed, as sdefect and fit refuse it
+        code, out, err = run(capsys, "verify", *argv, "--m", "2..13")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert f"1..{sdefect.MAX_M}" in err
+
     def test_m_beyond_cap(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "1..99")
         assert code == EXIT_INPUT
@@ -322,6 +325,11 @@ class TestResourceCap:
         for cap in ("5", "0"):
             code, _, err = run(capsys, "cover-ideal", "--graph", path, "--max-gens", cap)
             assert code == EXIT_RESOURCE and "cap" in err
+
+    def test_negative_flag_is_an_input_error(self, capsys):
+        code, out, err = run(capsys, "cover-ideal", "--family", "C5", "--max-gens", "-1")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: generator cap must be >= 0, got -1\n"
 
     def test_flag_applies_to_cached_results(self, capsys):
         capped = ("sdefect", "--family", "C7", "--m", "3", "--max-gens", "0")

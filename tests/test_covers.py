@@ -23,10 +23,10 @@ from symdef.monomials import (
     GeneratorCapExceeded,
     Monomial,
     MonomialIdeal,
+    _DEFAULT_GENERATOR_CAP,
     _minimal_rows,
     all_ones,
-    get_generator_cap,
-    set_generator_cap,
+    generator_cap,
 )
 
 
@@ -128,15 +128,21 @@ def test_symbolic_power_partial_rows_stay_small():
     # the drop rule for vertices without a tight neighbour keeps K7 at
     # m = 10 to at most 141 partial rows per vertex; without it, 423,541
     build = symbolic_power.__wrapped__  # uncached: every call runs under the cap
-    old = get_generator_cap()
-    try:
-        set_generator_cap(20_000)
+    with generator_cap(20_000):
         assert len(build(complete(7), 10)) == 36
-        set_generator_cap(100)
+    with generator_cap(100):
         with pytest.raises(GeneratorCapExceeded):
             build(complete(7), 10)
-    finally:
-        set_generator_cap(old)
+
+
+def test_nested_cap_blocks_restore_the_outer_cap():
+    # the inner block caches J^(10) of K7, built under 20,000; leaving it
+    # steps the cap down to 100 again, which must empty that cache
+    with generator_cap(100):
+        with generator_cap(20_000):
+            assert len(symbolic_power(complete(7), 10)) == 36
+        with pytest.raises(GeneratorCapExceeded):
+            symbolic_power(complete(7), 10)
 
 
 def test_symbolic_power_touched_vertices_prune_like_all_fixed():
@@ -145,15 +151,11 @@ def test_symbolic_power_touched_vertices_prune_like_all_fixed():
     # m = 4 the largest step copies 13,255 rows either way, and skipping
     # the free neighbours' neighbours would copy 14,890
     build = symbolic_power.__wrapped__  # uncached: every call runs under the cap
-    old = get_generator_cap()
-    try:
-        set_generator_cap(13_255)
+    with generator_cap(13_255):
         assert len(build(cycle(13), 4)) == 3836
-        set_generator_cap(13_254)
+    with generator_cap(13_254):
         with pytest.raises(GeneratorCapExceeded):
             build(cycle(13), 4)
-    finally:
-        set_generator_cap(old)
 
 
 def test_elimination_plan_serves_the_right_graph(connected_atlas):
@@ -166,7 +168,7 @@ def test_elimination_plan_serves_the_right_graph(connected_atlas):
     graphs += [_relabeled(cycle(7), rng) for _ in range(6)]
     graphs += [T, Graph.from_edges(T.n, [(j, i) for i, j in reversed(T.edge_list())])]
     assert len(set(graphs)) > _elimination_plan.cache_info().maxsize
-    caches = (_elimination_plan, cover_ideal, symbolic_power, _decomposable_covers)
+    caches = (_elimination_plan, symbolic_power, _decomposable_covers)
 
     def cold(G, m):
         for f in caches:
@@ -286,17 +288,13 @@ def test_path_square_is_symbolic_square():
 def test_lowering_the_cap_empties_the_caches():
     G = cycle(7)
     built = (cover_ideal(G), symbolic_power(G, 3), _decomposable_covers(G, 3), ordinary_power(G, 3))
-    old = get_generator_cap()
-    try:
-        set_generator_cap(old + 1)  # raising keeps the cached results
+    with generator_cap(_DEFAULT_GENERATOR_CAP + 1):  # raising keeps the cached results
         assert symbolic_power(G, 3) is built[1]
         assert ordinary_power(G, 3) is built[3]
-        set_generator_cap(0)
-        with pytest.raises(GeneratorCapExceeded):
-            cover_ideal(G)
-        for cached in (symbolic_power, _decomposable_covers, ordinary_power):
+        with generator_cap(0):
             with pytest.raises(GeneratorCapExceeded):
-                cached(G, 3)
-    finally:
-        set_generator_cap(old)
+                cover_ideal(G)
+            for cached in (symbolic_power, _decomposable_covers, ordinary_power):
+                with pytest.raises(GeneratorCapExceeded):
+                    cached(G, 3)
     assert symbolic_power(G, 3) == built[1]

@@ -12,9 +12,8 @@ from symdef.monomials import (
     MonomialIdeal,
     ZeroIdealError,
     all_ones,
-    get_generator_cap,
+    generator_cap,
     minimalize,
-    set_generator_cap,
     unit_monomial,
 )
 
@@ -240,12 +239,16 @@ class TestLazyGenerators:
 
 class TestGeneratorCap:
     def test_cap_trips_and_restores(self):
-        old = get_generator_cap()
-        try:
-            set_generator_cap(3)
+        with generator_cap(3):
             I = MonomialIdeal(2, [M(3, 0), M(2, 1), M(1, 2), M(0, 3)])
             with pytest.raises(GeneratorCapExceeded) as exc:
                 I.multiply(I)
             assert exc.value.cap == 3
-        finally:
-            set_generator_cap(old)
+
+    def test_negative_cap_refused(self):
+        with pytest.raises(ValueError, match="-1"):
+            with generator_cap(-1):
+                pass
+        # the refused block left the cap in force as it was
+        I = MonomialIdeal(2, [M(1, 0), M(0, 1)])
+        assert I.power(2).mu() == 3

@@ -16,8 +16,7 @@ from symdef.monomials import (
     Monomial,
     MonomialIdeal,
     all_ones,
-    get_generator_cap,
-    set_generator_cap,
+    generator_cap,
 )
 from symdef.sdefect import (
     PreconditionError,
@@ -118,15 +117,11 @@ class TestBruteWithoutOrdinaryPower:
         G = cycle(7)
         count = len(_decomposable_covers(G, 3)) * len(cover_ideal(G))
         build = _decomposable_covers.__wrapped__  # uncached: every call runs under the cap
-        old = get_generator_cap()
-        try:
-            set_generator_cap(count - 1)
+        with generator_cap(count - 1):
             with pytest.raises(GeneratorCapExceeded):
                 build(G, 4)
-            set_generator_cap(count)
+        with generator_cap(count):
             assert np.array_equal(build(G, 4), _decomposable_covers(G, 4))
-        finally:
-            set_generator_cap(old)
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
         G = cycle(7)
@@ -273,14 +268,10 @@ class TestIndecomposabilityEvidence:
         # T5 has 11 minimal covers; at m = 10 the batch k = 1, s = 8 holds
         # C(18, 8) = 43,758 products, more than any multiply before it
         G = triangle_tail(5)
-        old = get_generator_cap()
-        try:
-            set_generator_cap(43_757)
+        with generator_cap(43_757):
             with pytest.raises(GeneratorCapExceeded) as exc:
                 check_indecomposability_exhaustive(G, 10)
             assert exc.value.candidates == 43_758
-        finally:
-            set_generator_cap(old)
 
 
 class TestOddCycles:
