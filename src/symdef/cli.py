@@ -236,28 +236,33 @@ def _cmd_fit(args) -> int:
     return EXIT_OK
 
 
-def _cmd_classify2(args) -> int:
-    started = time.monotonic()
-    G = _load_graph(args)
-    results, warnings = [], []
-    disagree = False
+def _classification_rows(G: graphs.Graph) -> list[dict]:
+    """Each minimal 2-cover with its shape class and whether that class
+    agrees with the membership test."""
+    rows = []
     for f in covers.minimal_mcovers(G, 2):
         cls = covers.classify_indecomposable_2cover(G, f)
         by_membership = covers.indecomposability_by_membership(G, f)
-        agrees = (cls is not None) == by_membership
-        disagree = disagree or not agrees
-        row = {
-            "cover": str(f),
-            "kind": cls.kind if cls else "decomposable",
-            "S": [i + 1 for i in cls.S] if cls else [],
-            "T": [i + 1 for i in cls.T] if cls else [],
-            "U": [i + 1 for i in cls.U] if cls else [],
-            "outside_square": by_membership,
-            "agrees": agrees,
-        }
-        results.append(row)
-    if disagree:
-        warnings.append("classification disagrees with membership testing")
+        rows.append(
+            {
+                "cover": str(f),
+                "kind": cls.kind if cls else "decomposable",
+                "S": [i + 1 for i in cls.S] if cls else [],
+                "T": [i + 1 for i in cls.T] if cls else [],
+                "U": [i + 1 for i in cls.U] if cls else [],
+                "outside_square": by_membership,
+                "agrees": (cls is not None) == by_membership,
+            }
+        )
+    return rows
+
+
+def _cmd_classify2(args) -> int:
+    started = time.monotonic()
+    G = _load_graph(args)
+    results = _classification_rows(G)
+    disagree = not all(row["agrees"] for row in results)
+    warnings = ["classification disagrees with membership testing"] if disagree else []
     _emit(args, "classify2", _graph_desc(args, G), results, warnings, started)
     return EXIT_MISMATCH if disagree else EXIT_OK
 
@@ -331,11 +336,9 @@ def _cmd_verify(args) -> int:
         input_desc = {"identity": identity, **_graph_desc(args, G)}
     elif identity == "classification":
         G = _load_graph(args)
-        for f in covers.minimal_mcovers(G, 2):
-            cls = covers.classify_indecomposable_2cover(G, f)
-            passed = (cls is not None) == covers.indecomposability_by_membership(G, f)
-            ok = ok and passed
-            results.append({"cover": str(f), "kind": cls.kind if cls else "decomposable", "pass": passed})
+        for row in _classification_rows(G):
+            ok = ok and row["agrees"]
+            results.append({"cover": row["cover"], "kind": row["kind"], "pass": row["agrees"]})
         input_desc = {"identity": identity, **_graph_desc(args, G)}
     else:  # pragma: no cover - argparse restricts choices
         raise CLIInputError(f"unknown identity {identity!r}")

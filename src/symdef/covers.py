@@ -123,22 +123,23 @@ def _minimal_cover_rows(G: Graph, rows: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _decomposable_covers(G: Graph, m: int) -> np.ndarray:
-    """D_m, for m >= 1: the minimal vertex m-covers that are sums of m
-    minimal vertex covers, as rows in canonical order.
+def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> np.ndarray:
+    """D_m: the minimal vertex m-covers that are sums of m generators of
+    `base`, minimal vertex covers of G, as rows in canonical order.
 
-    D_1 = G(J).  D_m holds the sums d + c, d in D_(m-1) and c in G(J),
-    that are minimal m-covers (`_minimal_cover_rows`); this misses none,
-    since for a minimal m-cover g = c_1 + ... + c_m, g - c_m is a minimal
-    (m-1)-cover.  The |D_(m-1)| * |G(J)| sums count against the generator
-    cap and are built in blocks of rows of D_(m-1), about _BLOCK_WORDS
-    sums at a time.  Each block is deduplicated as soon as it is built,
-    so duplicates never pile up across the whole level.
+    D_0 is the zero row (the empty sum) and D_1 = G(base).  D_m holds the
+    sums d + c, d in D_(m-1) and c in G(base), that are minimal m-covers
+    (`_minimal_cover_rows`); this misses none, since for a minimal m-cover
+    g = c_1 + ... + c_m, g - c_m is a minimal (m-1)-cover.  The sums,
+    |D_(m-1)| * |G(base)| of them, count against the generator cap and
+    are built in blocks of rows of D_(m-1), about _BLOCK_WORDS sums at a
+    time.  Each block is deduplicated as soon as it is built, so
+    duplicates never pile up across the whole level.
     """
-    gens = cover_ideal(G)._arr
-    if m == 1:
-        return gens
-    prev = _decomposable_covers(G, m - 1)
+    gens = base._arr
+    if m <= 1:
+        return gens if m else np.zeros((1, G.n), dtype=np.int64)
+    prev = _decomposable_covers(G, m - 1, base)
     _check_cap(len(prev) * len(gens))
     step = max(1, monomials._BLOCK_WORDS // len(gens))
     kept = []
@@ -256,4 +257,4 @@ def indecomposability_by_membership(G: Graph, f: Monomial) -> bool:
     `sdefect_brute`).  Raises ValueError if f is not a minimal 2-cover."""
     if not is_minimal_mcover(G, f, 2):
         raise ValueError(f"{f} is not a minimal 2-cover of the graph")
-    return not (_decomposable_covers(G, 2) == f.exps).all(axis=1).any()
+    return not (_decomposable_covers(G, 2, cover_ideal(G)) == f.exps).all(axis=1).any()

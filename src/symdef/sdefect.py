@@ -5,19 +5,13 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from itertools import combinations_with_replacement, islice
+from itertools import combinations_with_replacement
 from math import comb
 
 import numpy as np
 
-from .covers import (
-    _decomposable_covers,
-    _minimal_cover_rows,
-    cover_ideal,
-    ordinary_power,
-    symbolic_power,
-)
-from .graphs import Graph, cycle, path, triangle_tail
+from .covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
+from .graphs import MAX_VERTICES, Graph, GraphTooLargeError, cycle, path, triangle_tail
 from .monomials import (
     AmbientMismatchError,
     Monomial,
@@ -79,7 +73,7 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
-    inside = set(map(tuple, _decomposable_covers(G, m).tolist()))
+    inside = set(map(tuple, _decomposable_covers(G, m, cover_ideal(G)).tolist()))
     rows = map(tuple, symbolic_power(G, m)._arr.tolist())
     witnesses = tuple(_row_monomial(g) for g in rows if g not in inside)
     return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
@@ -245,16 +239,13 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
 @lru_cache(maxsize=None)
 def staircase_ideal(n: int) -> MonomialIdeal:
     """For odd n, the ideal generated by the n staircase 1-covers
-    g_i = x_i x_{i+2} ... x_{i+n-1} (indices mod n) of the n-cycle."""
+    g_i = x_i x_{i+2} ... x_{i+n-1} (indices mod n) of the n-cycle:
+    x_j divides g_i iff (j - i) mod n is even."""
+    if n > MAX_VERTICES:
+        raise GraphTooLargeError(f"{n} vertices: graphs are limited to {MAX_VERTICES}")
     if n < 3 or n % 2 == 0:
         raise ValueError("staircase ideal is defined for odd n >= 3")
-    gens = []
-    for i in range(n):
-        exps = [0] * n
-        for step in range((n + 1) // 2):
-            exps[(i + 2 * step) % n] = 1
-        gens.append(tuple(exps))
-    return MonomialIdeal(n, gens)
+    return MonomialIdeal(n, [[1 - (j - i) % n % 2 for j in range(n)] for i in range(n)])
 
 
 def sdefect_cycle(n: int, m: int) -> SdefectReport:
@@ -264,10 +255,12 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         sdefect(m) = sdefect(m-2) + nu(m-2),  sdefect(0) = sdefect(1) = 0,
         nu(k) = #{g in G(S^k) : g is a minimal k-cover of C_n},
 
-    i.e. the sum of nu(k) over k = m mod 2, m mod 2 + 2, ..., m - 2, with
-    S^k read from one walk of `S.powers()` (nu(0) = 1 gives
-    sdefect(2) = 1).  Every generator of S^k is a k-cover, so nu(k)
-    counts the rows of S^k that `covers._minimal_cover_rows` accepts.
+    i.e. the sum of nu(k) over k = m mod 2, m mod 2 + 2, ..., m - 2.
+    The minimal k-covers in G(S^k) are the minimal k-covers that are sums
+    of k staircase covers: a generator of S^k dividing such a sum is a
+    k-cover below it, so equals it.  So nu(k) is the size of the level
+    `covers._decomposable_covers(C_n, k, S)` (the empty sum gives
+    nu(0) = 1), and S^k is never built.
 
     Proved: sdefect(m) = #{h in G(J^(m-2)) : F*h not in J^m}, from
     J^(m) = J^m + F*J^(m-2), which holds since the symbolic Rees algebra
@@ -282,9 +275,8 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
-    G = cycle(n)
-    powers = enumerate(islice(staircase_ideal(n).powers(), m - 1))
-    value = sum(int(_minimal_cover_rows(G, P._arr, k).sum()) for k, P in powers if k % 2 == m % 2)
+    G, S = cycle(n), staircase_ideal(n)
+    value = sum(len(_decomposable_covers(G, k, S)) for k in range(m % 2, m - 1, 2))
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")
 
 

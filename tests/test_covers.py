@@ -173,7 +173,8 @@ def test_elimination_plan_serves_the_right_graph(connected_atlas):
     def cold(G, m):
         for f in caches:
             f.cache_clear()
-        return symbolic_power.__wrapped__(G, m)._arr, _decomposable_covers.__wrapped__(G, m)
+        J_m = symbolic_power.__wrapped__(G, m)._arr
+        return J_m, _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
 
     expected = {(G, m): cold(G, m) for G in graphs for m in (1, 2, 3)}
     for f in caches:
@@ -182,7 +183,8 @@ def test_elimination_plan_serves_the_right_graph(connected_atlas):
         for G in graphs + graphs[::-1]:
             J, D = expected[G, m]
             assert np.array_equal(symbolic_power.__wrapped__(G, m)._arr, J), (sorted(G.edges), m)
-            assert np.array_equal(_decomposable_covers.__wrapped__(G, m), D), (sorted(G.edges), m)
+            D_m = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+            assert np.array_equal(D_m, D), (sorted(G.edges), m)
 
 
 def test_symbolic_power_peak_memory():
@@ -287,14 +289,19 @@ def test_path_square_is_symbolic_square():
 
 def test_lowering_the_cap_empties_the_caches():
     G = cycle(7)
-    built = (cover_ideal(G), symbolic_power(G, 3), _decomposable_covers(G, 3), ordinary_power(G, 3))
+    J = cover_ideal(G)
+    built = (J, symbolic_power(G, 3), _decomposable_covers(G, 3, J), ordinary_power(G, 3))
     with generator_cap(_DEFAULT_GENERATOR_CAP + 1):  # raising keeps the cached results
         assert symbolic_power(G, 3) is built[1]
         assert ordinary_power(G, 3) is built[3]
         with generator_cap(0):
             with pytest.raises(GeneratorCapExceeded):
                 cover_ideal(G)
-            for cached in (symbolic_power, _decomposable_covers, ordinary_power):
+            for cached, args in (
+                (symbolic_power, (G, 3)),
+                (_decomposable_covers, (G, 3, J)),
+                (ordinary_power, (G, 3)),
+            ):
                 with pytest.raises(GeneratorCapExceeded):
-                    cached(G, 3)
+                    cached(*args)
     assert symbolic_power(G, 3) == built[1]

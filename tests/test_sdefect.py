@@ -8,8 +8,22 @@ import pytest
 
 from symdef import monomials
 from symdef import sdefect as sdefect_module
-from symdef.covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
-from symdef.graphs import Graph, complete, cycle, path, triangle_tail
+from symdef.covers import (
+    _decomposable_covers,
+    _minimal_cover_rows,
+    cover_ideal,
+    ordinary_power,
+    symbolic_power,
+)
+from symdef.graphs import (
+    MAX_VERTICES,
+    Graph,
+    GraphTooLargeError,
+    complete,
+    cycle,
+    path,
+    triangle_tail,
+)
 from symdef.monomials import (
     AmbientMismatchError,
     GeneratorCapExceeded,
@@ -82,7 +96,8 @@ class TestBruteWithoutOrdinaryPower:
                 rep = sdefect_brute(G, m)
                 assert rep.witnesses == _membership_witnesses(G, m), (sorted(G.edges), m)
                 # the chain holds generators of J^(m) only: the rest are witnesses
-                assert len(_decomposable_covers(G, m)) + rep.value == len(symbolic_power(G, m))
+                D = _decomposable_covers(G, m, cover_ideal(G))
+                assert len(D) + rep.value == len(symbolic_power(G, m))
 
     def test_witnesses_match_membership_without_edges_at_some_vertex(self):
         edgeless = Graph.from_edges(3, [])
@@ -115,13 +130,14 @@ class TestBruteWithoutOrdinaryPower:
 
     def test_chain_counts_against_cap(self):
         G = cycle(7)
-        count = len(_decomposable_covers(G, 3)) * len(cover_ideal(G))
+        J = cover_ideal(G)
+        count = len(_decomposable_covers(G, 3, J)) * len(J)
         build = _decomposable_covers.__wrapped__  # uncached: every call runs under the cap
         with generator_cap(count - 1):
             with pytest.raises(GeneratorCapExceeded):
-                build(G, 4)
+                build(G, 4, J)
         with generator_cap(count):
-            assert np.array_equal(build(G, 4), _decomposable_covers(G, 4))
+            assert np.array_equal(build(G, 4, J), _decomposable_covers(G, 4, J))
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
         G = cycle(7)
@@ -290,6 +306,12 @@ class TestOddCycles:
         with pytest.raises(ValueError):
             sdefect_cycle(6, 2)
 
+    def test_staircase_refuses_more_vertices_than_a_graph(self):
+        assert staircase_ideal(MAX_VERTICES - 1).mu() == MAX_VERTICES - 1
+        for n in (MAX_VERTICES + 1, MAX_VERTICES + 2):
+            with pytest.raises(GraphTooLargeError):
+                staircase_ideal(n)
+
     def test_c5_small_values(self):
         assert sdefect_cycle(5, 3).value == 5
 
@@ -337,9 +359,22 @@ class TestPowerChain:
 
         monkeypatch.setattr(MonomialIdeal, "multiply", counting)
         rep = sdefect_cycle(7, 8)
-        # one chain S^0, ..., S^6, not each S^k rebuilt (9 multiplies)
-        assert len(calls) <= 8 - 2
+        # the chain of sums of staircase covers: no power S^k is built
+        assert calls == []
         assert rep.value == sdefect_brute(cycle(7), 8).value
+
+    def test_chain_levels_are_the_minimal_covers_of_staircase_powers(self):
+        # the definition: the rows of G(S^k) that are minimal k-covers
+        for n, m_max in ((5, 12), (7, 10), (9, 8), (11, 7), (13, 6), (15, 5)):
+            G, S = cycle(n), staircase_ideal(n)
+            levels = []
+            for k in range(m_max - 1):
+                P = S.power(k)._arr
+                expected = P[_minimal_cover_rows(G, P, k)]
+                assert np.array_equal(_decomposable_covers(G, k, S), expected), (n, k)
+                levels.append(len(expected))
+            for m in range(1, m_max + 1):
+                assert sdefect_cycle(n, m).value == sum(levels[m % 2 : m - 1 : 2]), (n, m)
 
 
 class TestTriangleTail:
