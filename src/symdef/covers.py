@@ -47,6 +47,13 @@ def _elimination_plan(G: Graph) -> tuple[tuple, tuple]:
     return nbrs, tuple(steps)
 
 
+def _row_dtype(m: int) -> np.dtype:
+    """The narrowest signed integer type, int16 at least, that holds 2m:
+    the type of the partial rows of `symbolic_power` and of the cover
+    sums of `_decomposable_covers`."""
+    return np.promote_types(np.int16, np.min_scalar_type(-2 * m - 1))
+
+
 @lru_cache(maxsize=None)
 def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     """m-th symbolic power J^(m) of the cover ideal.  Its generators are
@@ -81,17 +88,22 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     gather each.  Neither changes which rows a step keeps: every step
     copies and drops exactly the rows the two rules above name, so the
     partial rows, the cap counts and the output depend on G and m only.
+
+    The partial rows are held in `_row_dtype(m)`, int16 for m < 2^14:
+    e_v and low[u] lie in [0, m] and the tightness test adds two of them,
+    so no value exceeds 2m and the narrow type is exact.  The finished
+    rows are cast to int64 once, so the ideal is the same as ever.
     """
     if m < 0:
         raise ValueError("symbolic power needs m >= 0")
     n = G.n
     # e in columns 0..n-1; low[u] in column n + u: the least exponent
     # over the fixed neighbours of u (m if none)
-    state = np.zeros((1, 2 * n), dtype=np.int64)
+    state = np.zeros((1, 2 * n), dtype=_row_dtype(m))
     state[:, n:] = m
     for v, (low_nbrs, checks) in enumerate(_elimination_plan(G)[1]):
         counts = state[:, n + v] + 1
-        ends = np.cumsum(counts)
+        ends = np.cumsum(counts, dtype=np.int64)
         _check_cap(int(ends[-1]))
         state = np.repeat(state, counts, axis=0)
         # the copies of row r take indices ends[r] - counts[r] + j for
@@ -109,7 +121,7 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
             else:
                 keep &= ok
         state = state[keep]
-    return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n])[0])
+    return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n].astype(np.int64))[0])
 
 
 def _minimal_cover_rows(G: Graph, rows: np.ndarray, m: int) -> np.ndarray:
@@ -135,6 +147,10 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> np.ndarray:
     are built in blocks of rows of D_(m-1), about _BLOCK_WORDS sums at a
     time.  Each block is deduplicated as soon as it is built, so
     duplicates never pile up across the whole level.
+
+    The sums are held in `_row_dtype(m)`: a minimal (m-1)-cover plus a
+    0/1 cover has entries at most m, and `_minimal_cover_rows` computes
+    nothing larger.  Only the rows that pass are cast back to int64.
     """
     gens = base._arr
     if m <= 1:
@@ -142,10 +158,12 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> np.ndarray:
     prev = _decomposable_covers(G, m - 1, base)
     _check_cap(len(prev) * len(gens))
     step = max(1, monomials._BLOCK_WORDS // len(gens))
+    dtype = _row_dtype(m)
+    covers = gens.astype(dtype)
     kept = []
     for lo in range(0, len(prev), step):
-        cand = (prev[lo : lo + step, None, :] + gens[None, :, :]).reshape(-1, G.n)
-        kept.append(_distinct_rows(cand[_minimal_cover_rows(G, cand, m)])[0])
+        cand = (prev[lo : lo + step, None, :].astype(dtype) + covers).reshape(-1, G.n)
+        kept.append(_distinct_rows(cand[_minimal_cover_rows(G, cand, m)].astype(np.int64))[0])
     return kept[0] if len(kept) == 1 else _distinct_rows(np.vstack(kept))[0]
 
 

@@ -33,6 +33,8 @@ class Graph:
     edges: frozenset[tuple[int, int]]
 
     def __post_init__(self):
+        if self.n < 0:
+            raise ValueError(f"n = {self.n}: a graph needs n >= 0 vertices")
         if self.n > MAX_VERTICES:
             raise GraphTooLargeError(
                 f"{self.n} vertices: graphs are limited to {MAX_VERTICES}"

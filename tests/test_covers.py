@@ -1,4 +1,5 @@
 """Cover ideals, symbolic powers, m-covers, 2-cover classification."""
+import itertools
 import random
 import tracemalloc
 
@@ -9,11 +10,13 @@ from symdef.covers import (
     _decomposable_covers,
     _elimination_plan,
     _minimal_cover_rows,
+    _row_dtype,
     classify_indecomposable_2cover,
     cover_ideal,
     enumerate_minimal_mcovers,
     indecomposability_by_membership,
     is_m_cover,
+    is_minimal_mcover,
     minimal_mcovers,
     ordinary_power,
     symbolic_power,
@@ -80,6 +83,23 @@ def test_minimal_cover_rows_match_direct_enumeration(connected_atlas):
             minimal = {g.exps for g in enumerate_minimal_mcovers(G, m)}
             expected = [tuple(row) in minimal for row in grid.tolist()]
             assert _minimal_cover_rows(G, grid, m).tolist() == expected
+
+
+def test_is_minimal_mcover_matches_direct_enumeration(connected_atlas):
+    # on up to 5 vertices every row of {0..m}^n, covers or not; on 6 the
+    # minimal m-covers and each of them raised at one vertex, an m-cover
+    # that is not minimal
+    for G in connected_atlas:
+        for m in range(4):
+            minimal = {g.exps for g in enumerate_minimal_mcovers(G, m)}
+            if G.n <= 5:
+                cases = itertools.product(range(m + 1), repeat=G.n)
+            else:
+                raised = {e[:v] + (e[v] + 1,) + e[v + 1 :] for e in minimal for v in range(G.n)}
+                cases = minimal | raised
+            for exps in cases:
+                got = is_minimal_mcover(G, Monomial(exps), m)
+                assert got == (exps in minimal), (sorted(G.edges), m, exps)
 
 
 def _intersection_fold(G: Graph, m: int) -> MonomialIdeal:
@@ -198,6 +218,44 @@ def test_symbolic_power_peak_memory():
     finally:
         tracemalloc.stop()
     assert peak <= 28_000_000
+
+
+def test_symbolic_power_peak_memory_in_narrow_rows():
+    # the partial rows are int16 at this m: a 39.5 MB peak measured, where
+    # int64 rows peaked at 142.2 MB
+    assert _row_dtype(6) == np.int16
+    tracemalloc.start()
+    try:
+        with generator_cap(10_000_000):
+            symbolic_power.__wrapped__(cycle(15), 6)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 50_000_000
+
+
+@pytest.mark.parametrize("m", [2**14 - 1, 2**14])
+def test_row_type_holds_twice_m_across_the_int16_boundary(m):
+    dtype = _row_dtype(m)
+    assert dtype == (np.int16 if m < 2**14 else np.int32)
+    assert np.iinfo(dtype).max >= 2 * m
+    # each vertex has m + 1 partial rows and keeps only e_v = 0; with an
+    # edge the rows would number (m + 1)(m + 2) / 2, past the default cap
+    J = symbolic_power.__wrapped__(Graph.from_edges(2, []), m)
+    assert J.is_unit() and J._arr.dtype == np.int64
+
+
+def test_path_symbolic_powers_in_narrow_rows():
+    # J(P2)^(m) = (x1, x2)^m: the m + 1 monomials of degree m
+    for m in (0, 1, 7, 600):
+        J = symbolic_power.__wrapped__(path(2), m)
+        assert J._arr.dtype == np.int64
+        assert sorted(J._arr[:, 0].tolist()) == list(range(m + 1))
+        assert (J._arr.sum(axis=1) == m).all()
+    for G in (path(2), cycle(5), complete(4), triangle_tail(3)):
+        for m in range(5):
+            D = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+            assert D.dtype == np.int64, (sorted(G.edges), m)
 
 
 def test_ordinary_power_matches_plain_ideal_power():

@@ -1,6 +1,7 @@
 """Graph structure, predicates, families, serialization."""
 import pytest
 
+from symdef.covers import cover_ideal
 from symdef.graphs import (
     MAX_VERTICES,
     Graph,
@@ -21,6 +22,13 @@ def test_loops_rejected():
 def test_out_of_range_edge_rejected():
     with pytest.raises(ValueError):
         Graph.from_edges(2, [(0, 2)])
+
+
+def test_negative_vertex_count_rejected():
+    with pytest.raises(ValueError, match="n = -2"):
+        Graph.from_edges(-2, [])
+    empty = Graph.from_edges(0, [])  # no vertex: the cover ideal is the unit ideal
+    assert cover_ideal(empty).is_unit()
 
 
 def test_edges_normalized():
