@@ -2,16 +2,14 @@
 fitting of integer sequences, and generator-independence checks."""
 from __future__ import annotations
 
-import random
 from dataclasses import dataclass
 from fractions import Fraction
 from itertools import islice
-from math import prod
 from typing import Sequence
 
 from .covers import cover_ideal, symbolic_power
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal
+from .monomials import AmbientMismatchError, Monomial, MonomialIdeal
 from .sdefect import (
     UNIQUE_EXTRA_2COVER,
     PreconditionError,
@@ -233,38 +231,29 @@ def mu_growth_degree(I: MonomialIdeal, m_max: int = 8) -> GrowthReport:
     return GrowthReport(qp.degree, qp.onset, qp.tail_counts[0], values)
 
 
-def jacobian_rank_full(
-    gens: Sequence[Monomial], seed: int | None = 0, retries: int = 3
-) -> bool:
+def jacobian_rank_full(gens: Sequence[Monomial]) -> bool:
     """Generic full row rank of the derivative matrix of squarefree
     monomial generators.
 
-    Entry (i, j) is g_i / x_j when x_j divides g_i, else 0.  Variables are
-    evaluated at independent random integers in [2, 10^6] and the exact
-    rational rank is computed; any full-rank evaluation certifies generic
-    full rank, and a deficient one is retried before reporting False.
+    Entry (i, j) is d g_i / d x_j = E_ij * g_i / x_j, where E is the
+    exponent matrix.  At any point x with no zero coordinate that matrix
+    is diag(g_i(x)) * E * diag(1 / x_j), two invertible diagonal factors
+    around E, so its rank there is rank E.  The generic rank holds on a
+    dense open set, which meets those points, so it is rank E too,
+    computed here exactly over the rationals.
     """
     gens = list(gens)
     if not gens:
         raise ValueError("need at least one generator")
     n = gens[0].n
     for g in gens:
+        if g.n != n:
+            raise AmbientMismatchError(f"ambient sizes differ: {n} vs {g.n}")
         if not g.is_squarefree():
             raise ValueError(f"generator {g} is not squarefree")
-    s = len(gens)
-    if s > n:
+    if len(gens) > n:
         return False
-    rng = random.Random(seed)
-    for _ in range(max(retries, 1)):
-        point = [rng.randint(2, 10**6) for _ in range(n)]
-        matrix = [
-            [Fraction(prod(point[k] for k in g.support() if k != j) if g.exps[j] else 0)
-             for j in range(n)]
-            for g in gens
-        ]
-        if _rank(matrix) == s:
-            return True
-    return False
+    return _rank([[Fraction(e) for e in g.exps] for g in gens]) == len(gens)
 
 
 def _rank(matrix: list[list[Fraction]]) -> int:

@@ -94,9 +94,11 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     so no value exceeds 2m and the narrow type is exact.  The finished
     rows are cast to int64 once, so the ideal is the same as ever.
     """
-    if m < 0:
-        raise ValueError("symbolic power needs m >= 0")
     n = G.n
+    # the finished rows hold e <= m in n columns, the partial rows hold 2m
+    top = monomials.EXPONENT_BOUND // max(n, 2)
+    if not 0 <= m <= top:
+        raise ValueError(f"symbolic power on {n} vertices needs 0 <= m <= {top}, got {m}")
     # e in columns 0..n-1; low[u] in column n + u: the least exponent
     # over the fixed neighbours of u (m if none)
     state = np.zeros((1, 2 * n), dtype=_row_dtype(m))

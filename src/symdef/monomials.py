@@ -495,18 +495,3 @@ class MonomialIdeal:
         keep = np.delete(keep, i, axis=1)
         return MonomialIdeal._from_array(self.n - 1, keep)
 
-
-def minimalize(gens: Iterable[Monomial], n: int | None = None) -> MonomialIdeal:
-    """The unique inclusion-minimal antichain generating the same ideal.
-
-    `n` is required only when `gens` is empty (the zero ideal).
-    """
-    gens = tuple(gens)
-    if not gens:
-        if n is None:
-            raise ValueError("ambient size required for an empty generating set")
-        return MonomialIdeal.zero(n)
-    ambient = gens[0].n if isinstance(gens[0], Monomial) else len(gens[0])
-    if n is not None and n != ambient:
-        raise AmbientMismatchError(f"ambient sizes differ: {n} vs {ambient}")
-    return MonomialIdeal(ambient, gens)

@@ -1,14 +1,16 @@
 """Quasi-polynomial fitting, Waldschmidt constants, growth degrees,
 generic rank of the derivative matrix."""
+import random
 import tracemalloc
 from fractions import Fraction
-from math import comb
+from math import comb, prod
 
 import pytest
 
 from symdef.asymptotics import (
     NoFitError,
     _poly_str,
+    _rank,
     fit_quasipolynomial,
     jacobian_rank_full,
     mu_growth_degree,
@@ -19,7 +21,7 @@ from symdef.asymptotics import (
 )
 from symdef.covers import cover_ideal, symbolic_power
 from symdef.graphs import complete, cycle
-from symdef.monomials import Monomial, MonomialIdeal
+from symdef.monomials import AmbientMismatchError, Monomial, MonomialIdeal
 from symdef.sdefect import PreconditionError, sdefect_brute, staircase_ideal
 
 
@@ -185,6 +187,46 @@ class TestJacobianRank:
 
     def test_k3_cover_generators(self):
         assert jacobian_rank_full(cover_ideal(complete(3)).gens)
+
+    def test_ambient_sizes_must_agree(self):
+        with pytest.raises(AmbientMismatchError):
+            jacobian_rank_full([Monomial((1, 0)), Monomial((0, 0, 1))])
+        with pytest.raises(AmbientMismatchError):
+            jacobian_rank_full([Monomial((1, 1, 0)), Monomial((0, 1))])
+
+    def test_matches_derivative_matrix_rank(self, connected_atlas):
+        # the derivative matrix itself, evaluated at fixed points with no zero
+        # coordinate: entry (i, j) is g_i / x_j when x_j divides g_i, else 0
+        def full_rank_at(gens, point):
+            matrix = [
+                [Fraction(prod(point[k] for k in g.support() if k != j) if g.exps[j] else 0)
+                 for j in range(g.n)]
+                for g in gens
+            ]
+            return _rank(matrix) == len(gens)
+
+        rng = random.Random(0)
+        points = [
+            tuple(range(2, 17)),
+            (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47),
+            tuple(rng.randint(2, 10**6) for _ in range(15)),
+        ]
+        cases = [cover_ideal(G).gens for G in connected_atlas]
+        cases += [staircase_ideal(n).gens for n in range(3, 16, 2)]
+        for _ in range(1200):
+            n = rng.randint(1, 7)
+            cases.append([
+                Monomial(tuple(rng.randint(0, 1) for _ in range(n)))
+                for _ in range(rng.randint(1, 8))
+            ])
+        verdicts = []
+        for gens in cases:
+            full = jacobian_rank_full(gens)
+            verdicts.append(full)
+            for point in points:
+                assert full_rank_at(gens, point) == full, (gens, point)
+        # both verdicts occur, so the agreement is not a constant answer
+        assert True in verdicts and False in verdicts
 
 
 class TestSdefectDegree:

@@ -245,6 +245,20 @@ def test_row_type_holds_twice_m_across_the_int16_boundary(m):
     assert J.is_unit() and J._arr.dtype == np.int64
 
 
+def test_symbolic_power_refuses_m_past_the_row_bound():
+    # one vertex: the rows hold e <= m and the partial rows 2m, both in int64
+    G = Graph.from_edges(1, [])
+    top = (2**63 - 1) // 2
+    for m in (2**63, top + 1, -1):
+        with pytest.raises(ValueError, match=f"needs 0 <= m <= {top}, got {m}"):
+            symbolic_power.__wrapped__(G, m)
+    # the largest m passes the range check and stops at the cap before a copy
+    with pytest.raises(GeneratorCapExceeded):
+        symbolic_power.__wrapped__(G, top)
+    with pytest.raises(ValueError, match=f"needs 0 <= m <= {(2**63 - 1) // 5}"):
+        symbolic_power.__wrapped__(cycle(5), (2**63 - 1) // 5 + 1)
+
+
 def test_path_symbolic_powers_in_narrow_rows():
     # J(P2)^(m) = (x1, x2)^m: the m + 1 monomials of degree m
     for m in (0, 1, 7, 600):

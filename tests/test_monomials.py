@@ -13,7 +13,6 @@ from symdef.monomials import (
     ZeroIdealError,
     all_ones,
     generator_cap,
-    minimalize,
     unit_monomial,
 )
 
@@ -61,11 +60,11 @@ class TestMonomial:
 
 class TestMinimalize:
     def test_redundant_generator_dropped(self):
-        I = minimalize([M(2, 0), M(1, 0)])
+        I = MonomialIdeal(2, [M(2, 0), M(1, 0)])
         assert I.gens == (M(1, 0),)
 
     def test_duplicates_collapse(self):
-        I = minimalize([M(1, 1), M(1, 1), M(0, 2)])
+        I = MonomialIdeal(2, [M(1, 1), M(1, 1), M(0, 2)])
         assert I.gens == (M(1, 1), M(0, 2))
 
     def test_canonical_order_is_graded_lex(self):
@@ -74,9 +73,7 @@ class TestMinimalize:
         assert I.gens == (M(1, 0), M(0, 2))
 
     def test_empty_needs_ambient(self):
-        assert minimalize([], n=3).is_zero()
-        with pytest.raises(ValueError):
-            minimalize([])
+        assert MonomialIdeal(3, []).is_zero()
 
     def test_generator_order_irrelevant(self):
         a = MonomialIdeal(2, [M(1, 1), M(2, 0), M(0, 2)])
