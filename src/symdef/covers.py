@@ -27,23 +27,26 @@ def _elimination_plan(G: Graph) -> tuple[tuple, tuple]:
     read at each vertex v; they depend on G alone, not on m or the rows.
 
     Returns (nbrs, steps).  nbrs[v] holds the neighbours of v.  steps[v]
-    is (low columns of N(v), checks), where the low column of u is n + u
-    and checks lists, in label order, the pair (w, low columns of the
-    free neighbours u > v of w) for each fixed w <= v of
-    {v} + N(v) + N(free part of N(v)).  A sweep asks for every m of one
-    graph in a row, so only a few graphs are kept.
+    is (low columns of N(v), checks, closed), where the low column of u
+    is n + u, closed says that every neighbour of v comes before v, and
+    checks lists, in label order, the pair (w, low columns of the free
+    neighbours u > v of w) for each fixed w <= v of
+    {v} + N(v) + N(free part of N(v)), w = v left out if v is closed.  A
+    sweep asks for every m of one graph in a row, so only a few graphs
+    are kept.
     """
     n = G.n
     adj = [sorted(a) for a in G.adjacency()]
     nbrs = tuple(np.array(a, dtype=np.intp) for a in adj)
     steps = []
     for v in range(n):
+        closed = all(u < v for u in adj[v])
         touched = {v}.union(adj[v], *(adj[u] for u in adj[v] if u > v))
         checks = tuple(
             (w, np.array([n + u for u in adj[w] if u > v], dtype=np.intp))
-            for w in sorted(w for w in touched if w <= v)
+            for w in sorted(w for w in touched if w < v or w == v and not closed)
         )
-        steps.append((n + nbrs[v], checks))
+        steps.append((n + nbrs[v], checks, closed))
     return nbrs, tuple(steps)
 
 
@@ -52,6 +55,15 @@ def _row_dtype(m: int) -> np.dtype:
     the type of the partial rows of `symbolic_power` and of the cover
     sums of `_decomposable_covers`."""
     return np.promote_types(np.int16, np.min_scalar_type(-2 * m - 1))
+
+
+def _check_power_range(kind: str, n: int, m: int) -> None:
+    """Refuse an m whose rows int64 cannot hold: a power of J has
+    exponents <= m in n columns, and the partial rows of `symbolic_power`
+    hold 2m."""
+    top = monomials.EXPONENT_BOUND // max(n, 2)
+    if not 0 <= m <= top:
+        raise ValueError(f"{kind} power on {n} vertices needs 0 <= m <= {top}, got {m}")
 
 
 @lru_cache(maxsize=None)
@@ -68,7 +80,10 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     take m - e_v, which u can only if every fixed neighbour of u has
     e >= e_v.  Both rules are necessary; with every vertex fixed they are
     the equation above, so the rows left are exactly the generators.  The
-    copies count against the generator cap.
+    copies count against the generator cap.  At a closed v, one whose
+    neighbours all come before it, the two rules leave only
+    e_v = m - low[v] (a larger e_v has no tight and no free neighbour), so
+    each row takes that value in place, with no copy and no check at v.
 
     The rows left are distinct minimal m-covers, and no two minimal
     m-covers divide each other, so they are already the minimal
@@ -95,22 +110,22 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     rows are cast to int64 once, so the ideal is the same as ever.
     """
     n = G.n
-    # the finished rows hold e <= m in n columns, the partial rows hold 2m
-    top = monomials.EXPONENT_BOUND // max(n, 2)
-    if not 0 <= m <= top:
-        raise ValueError(f"symbolic power on {n} vertices needs 0 <= m <= {top}, got {m}")
+    _check_power_range("symbolic", n, m)
     # e in columns 0..n-1; low[u] in column n + u: the least exponent
     # over the fixed neighbours of u (m if none)
     state = np.zeros((1, 2 * n), dtype=_row_dtype(m))
     state[:, n:] = m
-    for v, (low_nbrs, checks) in enumerate(_elimination_plan(G)[1]):
-        counts = state[:, n + v] + 1
-        ends = np.cumsum(counts, dtype=np.int64)
-        _check_cap(int(ends[-1]))
-        state = np.repeat(state, counts, axis=0)
-        # the copies of row r take indices ends[r] - counts[r] + j for
-        # j = 0..low[v], and copy j gets e_v = m - low[v] + j
-        state[:, v] = np.arange(len(state)) - np.repeat(ends - (m + 1), counts)
+    for v, (low_nbrs, checks, closed) in enumerate(_elimination_plan(G)[1]):
+        if closed:  # every neighbour is fixed: e_v = m - low[v] is forced
+            state[:, v] = m - state[:, n + v]
+        else:
+            counts = state[:, n + v] + 1
+            ends = np.cumsum(counts, dtype=np.int64)
+            _check_cap(int(ends[-1]))
+            state = np.repeat(state, counts, axis=0)
+            # the copies of row r take indices ends[r] - counts[r] + j for
+            # j = 0..low[v], and copy j gets e_v = m - low[v] + j
+            state[:, v] = np.arange(len(state)) - np.repeat(ends - (m + 1), counts)
         state[:, low_nbrs] = np.minimum(state[:, low_nbrs], state[:, v, None])
         # low[w] + e_w == m: a tight fixed neighbour, or e_w = 0 (all forced to m)
         keep = None
@@ -122,7 +137,8 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
                 keep = ok
             else:
                 keep &= ok
-        state = state[keep]
+        if keep is not None:  # an isolated vertex checks nothing
+            state = state[keep]
     return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n].astype(np.int64))[0])
 
 
@@ -137,53 +153,86 @@ def _minimal_cover_rows(G: Graph, rows: np.ndarray, m: int) -> np.ndarray:
 
 
 @lru_cache(maxsize=None)
-def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> np.ndarray:
-    """D_m: the minimal vertex m-covers that are sums of m generators of
-    `base`, minimal vertex covers of G, as rows in canonical order.
+def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
+    """D_m: the minimal vertex m-covers that are sums of m generators
+    c_0, ..., c_(k-1) of `base`, minimal vertex covers of G, as rows in
+    canonical order; and last, which gives each row g the least top
+    index j_m over its sorted sums g = c_(j_1) + ... + c_(j_m),
+    j_1 <= ... <= j_m.
 
-    D_0 is the zero row (the empty sum) and D_1 = G(base).  D_m holds the
-    sums d + c, d in D_(m-1) and c in G(base), that are minimal m-covers
-    (`_minimal_cover_rows`); this misses none, since for a minimal m-cover
-    g = c_1 + ... + c_m, g - c_m is a minimal (m-1)-cover.  The sums,
-    |D_(m-1)| * |G(base)| of them, count against the generator cap and
-    are built in blocks of rows of D_(m-1), about _BLOCK_WORDS sums at a
-    time.  Each block is deduplicated as soon as it is built, so
+    D_0 is the zero row, the empty sum, with last 0, and D_1 = G(base)
+    with last(c_j) = j.  D_m holds the sums d + c_j, d in D_(m-1) with
+    last(d) <= j, that are minimal m-covers (`_minimal_cover_rows`).
+    This misses none: write g in D_m with the least top index j*.  Then
+    d = g - c_(j*) is a minimal (m-1)-cover (a smaller (m-1)-cover h
+    would give the smaller m-cover h + c_(j*)), a sum of m-1 covers of
+    index <= j*, so d lies in D_(m-1) with last(d) <= j*.  And every
+    pair (d, j) with last(d) <= j writes d + c_j as a sorted sum with top
+    index j, so last(g) is the least j of a pair that gives g.
+
+    The pairs are formed cover-major, j ascending, and `_distinct_rows`
+    keeps the first of equal rows, so the j kept with each row is its
+    last.  With the rows of D_(m-1) sorted by last, the rows usable with
+    c_j are a prefix, whose length one searchsorted gives.  The pairs
+    count against the generator cap and are built _BLOCK_WORDS at a
+    time; each block is deduplicated as soon as it is built, so
     duplicates never pile up across the whole level.
 
     The sums are held in `_row_dtype(m)`: a minimal (m-1)-cover plus a
     0/1 cover has entries at most m, and `_minimal_cover_rows` computes
     nothing larger.  Only the rows that pass are cast back to int64.
     """
-    gens = base._arr
-    if m <= 1:
-        return gens if m else np.zeros((1, G.n), dtype=np.int64)
-    prev = _decomposable_covers(G, m - 1, base)
-    _check_cap(len(prev) * len(gens))
-    step = max(1, monomials._BLOCK_WORDS // len(gens))
+    if m <= 1:  # the empty sum; each cover c_j, the sorted sum of itself
+        if m:
+            return base._arr, np.arange(len(base))
+        return np.zeros((1, G.n), dtype=np.int64), np.zeros(1, dtype=np.intp)
+    prev, prev_last = _decomposable_covers(G, m - 1, base)
+    order = np.argsort(prev_last, kind="stable")
+    # c_j sums with the first counts[j] rows in `order`
+    counts = np.searchsorted(prev_last[order], np.arange(len(base)), side="right")
+    ends = np.cumsum(counts)
+    starts = ends - counts
+    total = int(ends[-1])
+    _check_cap(total)
     dtype = _row_dtype(m)
-    covers = gens.astype(dtype)
-    kept = []
-    for lo in range(0, len(prev), step):
-        cand = (prev[lo : lo + step, None, :].astype(dtype) + covers).reshape(-1, G.n)
-        kept.append(_distinct_rows(cand[_minimal_cover_rows(G, cand, m)].astype(np.int64))[0])
-    return kept[0] if len(kept) == 1 else _distinct_rows(np.vstack(kept))[0]
+    rows, covers = prev[order].astype(dtype), base._arr.astype(dtype)
+    kept, tops = [], []
+    for lo in range(0, total, monomials._BLOCK_WORDS):
+        pair = np.arange(lo, min(lo + monomials._BLOCK_WORDS, total))
+        j = np.searchsorted(ends, pair, side="right")
+        cand = rows[pair - starts[j]] + covers[j]
+        ok = _minimal_cover_rows(G, cand, m)
+        out, *_, first = _distinct_rows(cand[ok].astype(np.int64))
+        kept.append(out)
+        tops.append(j[ok][first])
+    if len(kept) == 1:
+        return kept[0], tops[0]
+    out, *_, first = _distinct_rows(np.vstack(kept))
+    return out, np.concatenate(tops)[first]
 
 
 @lru_cache(maxsize=None)
+def _ordinary_powers(G: Graph) -> list[MonomialIdeal]:
+    """J^0, J^1, ... of G, as far as `ordinary_power` has built them."""
+    return [MonomialIdeal.unit(G.n), cover_ideal(G)]
+
+
 def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
-    """m-th ordinary power of the cover ideal, built incrementally so
-    repeated queries over an m-range share work."""
-    if m < 0:
-        raise ValueError("ordinary power needs m >= 0")
-    if m == 0:
+    """m-th ordinary power of the cover ideal, built upward from the
+    highest power of G built so far, one multiply by J per step, so
+    repeated queries over an m-range share work.  Without an edge, J and
+    all its powers are the unit ideal."""
+    _check_power_range("ordinary", G.n, m)
+    if not G.edges:
         return MonomialIdeal.unit(G.n)
-    if m == 1:
-        return cover_ideal(G)
-    return ordinary_power(G, m - 1).multiply(cover_ideal(G))
+    powers = _ordinary_powers(G)
+    while len(powers) <= m:
+        powers.append(powers[-1].multiply(powers[1]))
+    return powers[m]
 
 
 # lowering the generator cap empties these caches (`monomials.generator_cap`)
-monomials._capped_caches += (symbolic_power, _decomposable_covers, ordinary_power)
+monomials._capped_caches += (symbolic_power, _decomposable_covers, _ordinary_powers)
 
 
 def is_m_cover(G: Graph, f: Monomial, m: int) -> bool:
@@ -277,4 +326,4 @@ def indecomposability_by_membership(G: Graph, f: Monomial) -> bool:
     `sdefect_brute`).  Raises ValueError if f is not a minimal 2-cover."""
     if not is_minimal_mcover(G, f, 2):
         raise ValueError(f"{f} is not a minimal 2-cover of the graph")
-    return not (_decomposable_covers(G, 2, cover_ideal(G)) == f.exps).all(axis=1).any()
+    return not (_decomposable_covers(G, 2, cover_ideal(G))[0] == f.exps).all(axis=1).any()

@@ -235,12 +235,15 @@ def _divisible(gens: np.ndarray, rows: np.ndarray, guard: np.uint64) -> np.ndarr
     return out
 
 
-def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint64]:
+def _distinct_rows(
+    arr: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.uint64, np.ndarray]:
     """The distinct rows of an array in canonical order, degree
-    ascending, then exponent tuple descending, with their degrees and
-    their packed words and guard (see `_pack`): one lexsort on the
-    degree and the complemented words, then a compare of adjacent
-    words."""
+    ascending, then exponent tuple descending, with their degrees, their
+    packed words and guard (see `_pack`) and their indices in `arr`: one
+    lexsort on the degree and the complemented words, then a compare of
+    adjacent words.  The lexsort is stable, so of equal rows the first
+    in `arr` is the one kept."""
     deg = arr.sum(axis=1)
     words, guard = _pack(arr)
     order = np.lexsort((*~words[::-1], deg))
@@ -248,7 +251,7 @@ def _distinct_rows(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray,
     fresh = np.ones(arr.shape[0], dtype=bool)
     fresh[1:] = (words[:, 1:] != words[:, :-1]).any(axis=0)
     order = order[fresh]
-    return arr[order], deg[order], words[:, fresh], guard
+    return arr[order], deg[order], words[:, fresh], guard, order
 
 
 def _minimal_rows(arr: np.ndarray) -> np.ndarray:
@@ -271,7 +274,7 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
     """
     if arr.shape[0] == 0:
         return arr
-    arr, deg, words, guard = _distinct_rows(arr)
+    arr, deg, words, guard, _ = _distinct_rows(arr)
     bounds = (np.flatnonzero(np.diff(deg)) + 1).tolist() + [arr.shape[0]]
     if len(bounds) == 1:
         return arr

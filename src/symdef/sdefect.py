@@ -69,11 +69,19 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     smaller m-cover h + c_m.  So these sums are built level by level from
     the minimal covers alone (`covers._decomposable_covers`), and the
     witnesses are the generators of J^(m) outside them.
+
+    Each level forms a sum at most once per sorted multiset of covers,
+    not once per ordering.  Number the covers c_0, ..., c_(k-1) and let
+    last(d) be the least top index j_(m-1) over the sorted sums
+    d = c_(j_1) + ... + c_(j_(m-1)), j_1 <= ... <= j_(m-1); c_j is added
+    to d only if last(d) <= j.  Nothing is lost: write g with the least
+    top index j*; then g - c_(j*) is a minimal (m-1)-cover, as above, and
+    a sorted sum ending at an index <= j*, so its last is <= j*.
     """
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
-    inside = set(map(tuple, _decomposable_covers(G, m, cover_ideal(G)).tolist()))
+    inside = set(map(tuple, _decomposable_covers(G, m, cover_ideal(G))[0].tolist()))
     rows = map(tuple, symbolic_power(G, m)._arr.tolist())
     witnesses = tuple(_row_monomial(g) for g in rows if g not in inside)
     return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
@@ -260,7 +268,12 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
     of k staircase covers: a generator of S^k dividing such a sum is a
     k-cover below it, so equals it.  So nu(k) is the size of the level
     `covers._decomposable_covers(C_n, k, S)` (the empty sum gives
-    nu(0) = 1), and S^k is never built.
+    nu(0) = 1), and S^k is never built.  That level adds the staircase
+    cover s_j to a row d of level k-1 only if d is a sorted sum
+    s_(j_1) + ... + s_(j_(k-1)) with j_(k-1) <= j.  No row is lost: write
+    g by the sorted sum with the least top index j*; g - s_(j*) is a
+    minimal (k-1)-cover (a smaller one h gives the smaller k-cover
+    h + s_(j*)) and a sorted sum ending at an index <= j*.
 
     Proved: sdefect(m) = #{h in G(J^(m-2)) : F*h not in J^m}, from
     J^(m) = J^m + F*J^(m-2), which holds since the symbolic Rees algebra
@@ -276,7 +289,7 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
     G, S = cycle(n), staircase_ideal(n)
-    value = sum(len(_decomposable_covers(G, k, S)) for k in range(m % 2, m - 1, 2))
+    value = sum(len(_decomposable_covers(G, k, S)[0]) for k in range(m % 2, m - 1, 2))
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")
 
 

@@ -10,6 +10,7 @@ from symdef.covers import (
     _decomposable_covers,
     _elimination_plan,
     _minimal_cover_rows,
+    _ordinary_powers,
     _row_dtype,
     classify_indecomposable_2cover,
     cover_ideal,
@@ -31,6 +32,7 @@ from symdef.monomials import (
     all_ones,
     generator_cap,
 )
+from symdef.sdefect import staircase_ideal
 
 
 def _relabeled(H: Graph, rng: random.Random) -> Graph:
@@ -203,8 +205,8 @@ def test_elimination_plan_serves_the_right_graph(connected_atlas):
         for G in graphs + graphs[::-1]:
             J, D = expected[G, m]
             assert np.array_equal(symbolic_power.__wrapped__(G, m)._arr, J), (sorted(G.edges), m)
-            D_m = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
-            assert np.array_equal(D_m, D), (sorted(G.edges), m)
+            D_m, last = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+            assert np.array_equal(D_m, D[0]) and np.array_equal(last, D[1]), (sorted(G.edges), m)
 
 
 def test_symbolic_power_peak_memory():
@@ -239,8 +241,8 @@ def test_row_type_holds_twice_m_across_the_int16_boundary(m):
     dtype = _row_dtype(m)
     assert dtype == (np.int16 if m < 2**14 else np.int32)
     assert np.iinfo(dtype).max >= 2 * m
-    # each vertex has m + 1 partial rows and keeps only e_v = 0; with an
-    # edge the rows would number (m + 1)(m + 2) / 2, past the default cap
+    # each vertex is closed, with no neighbour, so e_v = 0 is forced and
+    # the one partial row is never copied
     J = symbolic_power.__wrapped__(Graph.from_edges(2, []), m)
     assert J.is_unit() and J._arr.dtype == np.int64
 
@@ -252,9 +254,9 @@ def test_symbolic_power_refuses_m_past_the_row_bound():
     for m in (2**63, top + 1, -1):
         with pytest.raises(ValueError, match=f"needs 0 <= m <= {top}, got {m}"):
             symbolic_power.__wrapped__(G, m)
-    # the largest m passes the range check and stops at the cap before a copy
-    with pytest.raises(GeneratorCapExceeded):
-        symbolic_power.__wrapped__(G, top)
+    # the largest m passes the range check; the vertex is closed, so e = 0
+    # is forced with no copy
+    assert symbolic_power.__wrapped__(G, top).is_unit()
     with pytest.raises(ValueError, match=f"needs 0 <= m <= {(2**63 - 1) // 5}"):
         symbolic_power.__wrapped__(cycle(5), (2**63 - 1) // 5 + 1)
 
@@ -268,8 +270,17 @@ def test_path_symbolic_powers_in_narrow_rows():
         assert (J._arr.sum(axis=1) == m).all()
     for G in (path(2), cycle(5), complete(4), triangle_tail(3)):
         for m in range(5):
-            D = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+            D, _ = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
             assert D.dtype == np.int64, (sorted(G.edges), m)
+
+
+def test_closed_vertex_takes_its_forced_exponent_without_copies():
+    # x2 of P2 is closed: e_2 = m - e_1 is set in place, so J(P2)^(700)
+    # needs 701 partial rows, where one copy per value of e_2 needed
+    # (m + 1)(m + 2) / 2 = 246,051, past the default cap
+    J = symbolic_power.__wrapped__(path(2), 700)
+    assert len(J) == 701
+    assert (J._arr.sum(axis=1) == 700).all()
 
 
 def test_ordinary_power_matches_plain_ideal_power():
@@ -277,6 +288,25 @@ def test_ordinary_power_matches_plain_ideal_power():
     I = cover_ideal(G)
     for m in range(4):
         assert ordinary_power(G, m) == I.power(m)
+
+
+def test_ordinary_power_is_built_in_a_loop():
+    # one multiply per step, no recursion: a cold m = 1200 ends at the cap
+    _ordinary_powers.cache_clear()
+    with pytest.raises(GeneratorCapExceeded):
+        ordinary_power(cycle(5), 1200)
+    G = Graph.from_edges(1, [])
+    with pytest.raises(ValueError, match="needs 0 <= m <= "):
+        ordinary_power(G, 2**63)
+    with pytest.raises(ValueError):
+        ordinary_power(G, -1)
+    assert ordinary_power(G, 2**40).is_unit()
+    # built upward from the highest power already built
+    _ordinary_powers.cache_clear()
+    J = cover_ideal(cycle(7))
+    assert ordinary_power(cycle(7), 3) == J.power(3)
+    assert ordinary_power(cycle(7), 5) == J.power(5)
+    assert len(_ordinary_powers(cycle(7))) == 6
 
 
 def test_ordinary_inside_symbolic():
@@ -377,3 +407,50 @@ def test_lowering_the_cap_empties_the_caches():
                 with pytest.raises(GeneratorCapExceeded):
                     cached(*args)
     assert symbolic_power(G, 3) == built[1]
+
+
+def _full_product_level(G: Graph, prev: np.ndarray, base: MonomialIdeal, m: int) -> np.ndarray:
+    """The level of the chain by the full product: every d + c, d in
+    D_(m-1) and c in G(base), that is a minimal m-cover, deduplicated
+    and in canonical order."""
+    cand = (prev[:, None, :] + base._arr[None, :, :]).reshape(-1, G.n)
+    rows = set(map(tuple, cand[_minimal_cover_rows(G, cand, m)].tolist()))
+    order = sorted(rows, key=lambda r: (sum(r), [-e for e in r]))
+    return np.array(order, dtype=np.int64).reshape(len(order), G.n)
+
+
+def test_chain_levels_match_the_full_product(connected_atlas):
+    rng = random.Random(20180)
+    cases = [(G, cover_ideal(G), 5) for G in (_relabeled(H, rng) for H in connected_atlas)]
+    cases += [(cycle(n), staircase_ideal(n), m) for n, m in ((5, 8), (7, 7), (9, 6), (11, 5), (13, 5))]
+    for G, base, m_max in cases:
+        prev = np.zeros((1, G.n), dtype=np.int64)
+        for m in range(1, m_max + 1):
+            expected = _full_product_level(G, prev, base, m)
+            D, last = _decomposable_covers(G, m, base)
+            assert np.array_equal(D, expected), (sorted(G.edges), m)
+            assert D.dtype == np.int64 and last.shape == (len(D),)
+            prev = expected
+
+
+def _minimal_cover(G: Graph, e: tuple, m: int) -> bool:
+    adj = G.adjacency()
+    return all(e[v] == max(0, m - min((e[u] for u in adj[v]), default=m)) for v in range(G.n))
+
+
+def test_chain_last_is_the_least_top_index(connected_atlas):
+    # every sorted sum c_(j_1) + ... + c_(j_m), j_1 <= ... <= j_m, in pure
+    # Python: last(g) is the least j_m among the sums equal to g.  Two
+    # sums with different top indices first meet on 6 vertices.
+    rng = random.Random(20181)
+    for G in (_relabeled(H, rng) for H in connected_atlas):
+        J = cover_ideal(G)
+        covers = [g.exps for g in J.gens]
+        for m in range(5):
+            least = {}
+            for js in itertools.combinations_with_replacement(range(len(covers)), m):
+                g = tuple(sum(col) for col in zip(*(covers[j] for j in js))) or (0,) * G.n
+                if _minimal_cover(G, g, m):
+                    least[g] = min(least.get(g, len(covers)), js[-1] if js else 0)
+            D, last = _decomposable_covers(G, m, J)
+            assert dict(zip(map(tuple, D.tolist()), last.tolist())) == least, (sorted(G.edges), m)

@@ -121,9 +121,11 @@ def test_packed_words_match_pure_python_oracle(case):
 def test_packed_sort_matches_pure_python_oracle(case):
     n, rows = case
     arr = np.array(rows, dtype=np.int64).reshape(len(rows), n)
-    out, deg, words, guard = _distinct_rows(arr)
+    out, deg, words, guard, first = _distinct_rows(arr)
     expected = sorted(set(rows), key=lambda r: (sum(r), [-e for e in r]))
     assert [tuple(r) for r in out.tolist()] == expected
+    # of equal rows, the first is kept
+    assert first.tolist() == [rows.index(r) for r in expected]
     assert deg.tolist() == [sum(r) for r in expected]
     packed, packed_guard = _pack(out)
     assert np.array_equal(words, packed) and guard == packed_guard

@@ -11,6 +11,7 @@ from symdef import sdefect as sdefect_module
 from symdef.covers import (
     _decomposable_covers,
     _minimal_cover_rows,
+    _ordinary_powers,
     cover_ideal,
     ordinary_power,
     symbolic_power,
@@ -96,7 +97,7 @@ class TestBruteWithoutOrdinaryPower:
                 rep = sdefect_brute(G, m)
                 assert rep.witnesses == _membership_witnesses(G, m), (sorted(G.edges), m)
                 # the chain holds generators of J^(m) only: the rest are witnesses
-                D = _decomposable_covers(G, m, cover_ideal(G))
+                D, _ = _decomposable_covers(G, m, cover_ideal(G))
                 assert len(D) + rep.value == len(symbolic_power(G, m))
 
     def test_witnesses_match_membership_without_edges_at_some_vertex(self):
@@ -129,15 +130,20 @@ class TestBruteWithoutOrdinaryPower:
         assert calls == []
 
     def test_chain_counts_against_cap(self):
+        # the usable pairs (d, c_j) with last(d) <= j: 125 for C7 at m = 4,
+        # where all |D_3| * |G(J)| = 42 * 7 = 294 sums were formed before
         G = cycle(7)
         J = cover_ideal(G)
-        count = len(_decomposable_covers(G, 3, J)) * len(J)
+        last = _decomposable_covers(G, 3, J)[1]
+        count = sum(int((last <= j).sum()) for j in range(len(J)))
+        assert count == 125
         build = _decomposable_covers.__wrapped__  # uncached: every call runs under the cap
         with generator_cap(count - 1):
             with pytest.raises(GeneratorCapExceeded):
                 build(G, 4, J)
         with generator_cap(count):
-            assert np.array_equal(build(G, 4, J), _decomposable_covers(G, 4, J))
+            built, expected = build(G, 4, J), _decomposable_covers(G, 4, J)
+            assert all(map(np.array_equal, built, expected))
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
         G = cycle(7)
@@ -218,7 +224,7 @@ class TestRecursion:
             calls.append(1)
             return real(self, other)
 
-        ordinary_power.cache_clear()
+        _ordinary_powers.cache_clear()
         monkeypatch.setattr(MonomialIdeal, "multiply", counting)
         G = complete(6)
         values = [sdefect_recursive(G, m).value for m in range(1, 13)]
@@ -371,7 +377,7 @@ class TestPowerChain:
             for k in range(m_max - 1):
                 P = S.power(k)._arr
                 expected = P[_minimal_cover_rows(G, P, k)]
-                assert np.array_equal(_decomposable_covers(G, k, S), expected), (n, k)
+                assert np.array_equal(_decomposable_covers(G, k, S)[0], expected), (n, k)
                 levels.append(len(expected))
             for m in range(1, m_max + 1):
                 assert sdefect_cycle(n, m).value == sum(levels[m % 2 : m - 1 : 2]), (n, m)
