@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import islice
 from typing import Sequence
 
 from .covers import cover_ideal, symbolic_power
@@ -226,7 +225,7 @@ class GrowthReport:
 def mu_growth_degree(I: MonomialIdeal, m_max: int = 8) -> GrowthReport:
     """Degree of the polynomial that mu(I^m) stabilizes onto for m up to
     m_max (period-1 exact fit on the tail)."""
-    values = tuple(P.mu() for P in islice(I.powers(), 1, m_max + 1))
+    values = tuple(I.power(k).mu() for k in range(1, m_max + 1))
     qp = fit_quasipolynomial(values, start=1, period=1)
     return GrowthReport(qp.degree, qp.onset, qp.tail_counts[0], values)
 

@@ -133,7 +133,7 @@ def _cmd_cover_ideal(args) -> int:
         {
             "generators": [str(g) for g in I.gens],
             "mu": I.mu(),
-            "alpha": I.alpha() if not I.is_zero() else None,
+            "alpha": I.alpha(),
         }
     ]
     _emit(args, "cover-ideal", _graph_desc(args, G), results, warnings, started)
@@ -195,8 +195,6 @@ def _cmd_sdefect(args) -> int:
 def _cmd_waldschmidt(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    if not G.edges:
-        raise CLIInputError("waldschmidt needs a graph with at least one edge")
     rep = asymptotics.waldschmidt(G)
     results = [
         {

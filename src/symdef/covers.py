@@ -211,34 +211,26 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     return out, np.concatenate(tops)[first]
 
 
-@lru_cache(maxsize=None)
-def _ordinary_powers(G: Graph) -> list[MonomialIdeal]:
-    """J^0, J^1, ... of G, as far as `ordinary_power` has built them."""
-    return [MonomialIdeal.unit(G.n), cover_ideal(G)]
-
-
 def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
-    """m-th ordinary power of the cover ideal, built upward from the
-    highest power of G built so far, one multiply by J per step, so
-    repeated queries over an m-range share work.  Without an edge, J and
-    all its powers are the unit ideal."""
+    """m-th ordinary power of the cover ideal, read from the power chain
+    of J (`MonomialIdeal.power`), so repeated queries over an m-range
+    share work."""
     _check_power_range("ordinary", G.n, m)
-    if not G.edges:
-        return MonomialIdeal.unit(G.n)
-    powers = _ordinary_powers(G)
-    while len(powers) <= m:
-        powers.append(powers[-1].multiply(powers[1]))
-    return powers[m]
+    return cover_ideal(G).power(m)
 
 
 # lowering the generator cap empties these caches (`monomials.generator_cap`)
-monomials._capped_caches += (symbolic_power, _decomposable_covers, _ordinary_powers)
+monomials._capped_caches += (symbolic_power, _decomposable_covers)
+
+
+def _check_ring(G: Graph, f: Monomial) -> None:
+    if f.n != G.n:
+        raise ValueError(f"monomial on {f.n} variables, graph on {G.n}")
 
 
 def is_m_cover(G: Graph, f: Monomial, m: int) -> bool:
     """True iff the exponents of f sum to at least m on every edge."""
-    if f.n != G.n:
-        raise ValueError(f"monomial on {f.n} variables, graph on {G.n}")
+    _check_ring(G, f)
     return all(f.exps[i] + f.exps[j] >= m for i, j in G.edges)
 
 
@@ -262,6 +254,7 @@ def enumerate_minimal_mcovers(G: Graph, m: int) -> tuple[Monomial, ...]:
 
 
 def is_minimal_mcover(G: Graph, f: Monomial, m: int) -> bool:
+    _check_ring(G, f)
     return symbolic_power(G, m).gens.count(f) == 1
 
 

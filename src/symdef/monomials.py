@@ -21,7 +21,7 @@ from __future__ import annotations
 
 from contextlib import contextmanager
 from dataclasses import dataclass
-from itertools import islice
+from functools import lru_cache
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
@@ -357,11 +357,11 @@ class MonomialIdeal:
 
     @classmethod
     def zero(cls, n: int) -> "MonomialIdeal":
-        return cls(n, ())
+        return cls._from_minimal(n, np.zeros((0, n), dtype=np.int64))
 
     @classmethod
     def unit(cls, n: int) -> "MonomialIdeal":
-        return cls(n, (unit_monomial(n),))
+        return cls._from_minimal(n, np.zeros((1, n), dtype=np.int64))
 
     @classmethod
     def principal(cls, g: Monomial) -> "MonomialIdeal":
@@ -466,19 +466,22 @@ class MonomialIdeal:
         cand = (self._arr[:, None, :] + other._arr[None, :, :]).reshape(count, self.n)
         return MonomialIdeal._from_array(self.n, cand)
 
-    def powers(self) -> Iterator["MonomialIdeal"]:
-        """I^0, I^1, I^2, ...; each power past I^1 is the previous one
-        times I, so reading up to I^k costs k-1 multiplies."""
-        yield MonomialIdeal.unit(self.n)
-        result = self
-        while True:
-            yield result
-            result = result.multiply(self)
-
     def power(self, k: int) -> "MonomialIdeal":
+        """I^k.  An ideal of at most one generator g answers at once, with
+        itself or (g^k); any other ideal extends its chain I^0, I^1, ...
+        in `_power_chains` from the highest power built so far, one
+        multiply by I per step.  This is the only code that multiplies an
+        ideal by itself."""
         if k < 0:
             raise ValueError("negative ideal power")
-        return next(islice(self.powers(), k, None))
+        if k and len(self._arr) <= 1:
+            top = int(self._arr.max(initial=0))
+            _check_exponent_bound(top * k, self.n)
+            return MonomialIdeal._from_minimal(self.n, self._arr * k) if top else self
+        chain = _power_chains(self)
+        while len(chain) <= k:
+            chain.append(chain[-1].multiply(self))
+        return chain[k]
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
         self._check_ambient(other)
@@ -498,3 +501,13 @@ class MonomialIdeal:
         keep = np.delete(keep, i, axis=1)
         return MonomialIdeal._from_array(self.n - 1, keep)
 
+
+@lru_cache(maxsize=16)
+def _power_chains(I: MonomialIdeal) -> list[MonomialIdeal]:
+    """I^0, I^1, ... of I, as far as `MonomialIdeal.power` has built
+    them.  A sweep asks for the powers of one ideal at a time, so only a
+    few chains are kept."""
+    return [MonomialIdeal.unit(I.n), I]
+
+
+_capped_caches.append(_power_chains)

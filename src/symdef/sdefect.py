@@ -68,15 +68,9 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     leaves a minimal (m-1)-cover: a smaller (m-1)-cover h would give the
     smaller m-cover h + c_m.  So these sums are built level by level from
     the minimal covers alone (`covers._decomposable_covers`), and the
-    witnesses are the generators of J^(m) outside them.
-
-    Each level forms a sum at most once per sorted multiset of covers,
-    not once per ordering.  Number the covers c_0, ..., c_(k-1) and let
-    last(d) be the least top index j_(m-1) over the sorted sums
-    d = c_(j_1) + ... + c_(j_(m-1)), j_1 <= ... <= j_(m-1); c_j is added
-    to d only if last(d) <= j.  Nothing is lost: write g with the least
-    top index j*; then g - c_(j*) is a minimal (m-1)-cover, as above, and
-    a sorted sum ending at an index <= j*, so its last is <= j*.
+    witnesses are the generators of J^(m) outside them.  Each level forms
+    a sum once per sorted multiset of covers, not once per ordering;
+    `_decomposable_covers` proves that this loses no sum.
     """
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
@@ -87,26 +81,22 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
 
 
-def _not_divisible_count(P: MonomialIdeal, F: Monomial) -> int:
-    if F.n != P.n:
-        raise AmbientMismatchError(f"ambient sizes differ: {F.n} vs {P.n}")
-    if max(F.exps, default=0) > int(P._arr.max(initial=0)):
-        return len(P)  # F divides no generator (and may not fit int64)
-    return int((P._arr < np.array(F.exps, dtype=np.int64)).any(axis=1).sum())
-
-
 def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:
     """Number of minimal generators of I^m not divisible by F.
 
     The m = 0 case returns 1 (the unit generator, never divisible by a
     positive-degree F) and m = 1 returns mu(I) whenever F divides no
-    generator, matching the seeding conventions of the recursion.  This
-    is the count that `sdefect_recursive` adds up over the cached powers
-    J^k of `ordinary_power`; here I^m is built afresh.
+    generator, matching the seeding conventions of the recursion.  I^m
+    is read from the power chain of I (`MonomialIdeal.power`).
     """
     if m < 0:
         raise ValueError("nu needs m >= 0")
-    return _not_divisible_count(I.power(m), F)
+    if F.n != I.n:
+        raise AmbientMismatchError(f"ambient sizes differ: {F.n} vs {I.n}")
+    P = I.power(m)
+    if max(F.exps, default=0) > int(P._arr.max(initial=0)):
+        return len(P)  # F divides no generator (and may not fit int64)
+    return int((P._arr < np.array(F.exps, dtype=np.int64)).any(axis=1).sum())
 
 
 @dataclass(frozen=True)
@@ -210,7 +200,7 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
 
     i.e. the sum of nu(J, k, F), the generators of J^k not divisible by
     F, over k = m mod 2, m mod 2 + 2, ..., m - 2 (nu(J, 0, F) = 1 gives
-    sdefect(2) = 1).  Each J^k is read from the cache of `ordinary_power`.
+    sdefect(2) = 1).  Each J^k is read from the power chain of J.
 
     Preconditions (checked unless `unchecked`): sdefect(J(G), 2) == 1 and
     indecomposability evidence, either one of the three sufficient
@@ -237,10 +227,8 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
             method = "recursion(exhaustive-check)"
     else:
         method = "recursion-unchecked"
-    F = all_ones(G.n)
-    value = sum(
-        _not_divisible_count(ordinary_power(G, k), F) for k in range(m % 2, m - 1, 2)
-    )
+    J, F = cover_ideal(G), all_ones(G.n)
+    value = sum(nu(J, k, F) for k in range(m % 2, m - 1, 2))
     return SdefectReport(_graph_id(G), m, value, method)
 
 
@@ -268,12 +256,9 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
     of k staircase covers: a generator of S^k dividing such a sum is a
     k-cover below it, so equals it.  So nu(k) is the size of the level
     `covers._decomposable_covers(C_n, k, S)` (the empty sum gives
-    nu(0) = 1), and S^k is never built.  That level adds the staircase
-    cover s_j to a row d of level k-1 only if d is a sorted sum
-    s_(j_1) + ... + s_(j_(k-1)) with j_(k-1) <= j.  No row is lost: write
-    g by the sorted sum with the least top index j*; g - s_(j*) is a
-    minimal (k-1)-cover (a smaller one h gives the smaller k-cover
-    h + s_(j*)) and a sorted sum ending at an index <= j*.
+    nu(0) = 1), and S^k is never built.  Each level forms a sum once per
+    sorted multiset of staircase covers; `_decomposable_covers` proves
+    that this loses no sum.
 
     Proved: sdefect(m) = #{h in G(J^(m-2)) : F*h not in J^m}, from
     J^(m) = J^m + F*J^(m-2), which holds since the symbolic Rees algebra

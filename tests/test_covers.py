@@ -10,7 +10,6 @@ from symdef.covers import (
     _decomposable_covers,
     _elimination_plan,
     _minimal_cover_rows,
-    _ordinary_powers,
     _row_dtype,
     classify_indecomposable_2cover,
     cover_ideal,
@@ -29,6 +28,7 @@ from symdef.monomials import (
     MonomialIdeal,
     _DEFAULT_GENERATOR_CAP,
     _minimal_rows,
+    _power_chains,
     all_ones,
     generator_cap,
 )
@@ -85,6 +85,11 @@ def test_minimal_cover_rows_match_direct_enumeration(connected_atlas):
             minimal = {g.exps for g in enumerate_minimal_mcovers(G, m)}
             expected = [tuple(row) in minimal for row in grid.tolist()]
             assert _minimal_cover_rows(G, grid, m).tolist() == expected
+
+
+def test_is_minimal_mcover_refuses_another_ring():
+    with pytest.raises(ValueError, match="monomial on 3 variables, graph on 5"):
+        is_minimal_mcover(cycle(5), Monomial((1, 1, 1)), 2)
 
 
 def test_is_minimal_mcover_matches_direct_enumeration(connected_atlas):
@@ -292,7 +297,7 @@ def test_ordinary_power_matches_plain_ideal_power():
 
 def test_ordinary_power_is_built_in_a_loop():
     # one multiply per step, no recursion: a cold m = 1200 ends at the cap
-    _ordinary_powers.cache_clear()
+    _power_chains.cache_clear()
     with pytest.raises(GeneratorCapExceeded):
         ordinary_power(cycle(5), 1200)
     G = Graph.from_edges(1, [])
@@ -302,11 +307,40 @@ def test_ordinary_power_is_built_in_a_loop():
         ordinary_power(G, -1)
     assert ordinary_power(G, 2**40).is_unit()
     # built upward from the highest power already built
-    _ordinary_powers.cache_clear()
+    _power_chains.cache_clear()
     J = cover_ideal(cycle(7))
     assert ordinary_power(cycle(7), 3) == J.power(3)
     assert ordinary_power(cycle(7), 5) == J.power(5)
-    assert len(_ordinary_powers(cycle(7))) == 6
+    assert len(_power_chains(J)) == 6
+
+
+def test_ordinary_power_shares_the_power_chain_of_j():
+    G = cycle(7)
+    assert ordinary_power(G, 3) is cover_ideal(G).power(3)
+    assert ordinary_power(G, 3) is _power_chains(cover_ideal(G))[3]
+
+
+def test_power_chain_cache_serves_the_right_ideal():
+    # more ideals than the cache holds, asked round robin, against cold chains
+    rng = random.Random(5)
+    ideals = []
+    while len(ideals) < _power_chains.cache_info().maxsize + 4:
+        n = rng.randint(1, 4)
+        I = MonomialIdeal(n, [[rng.randint(0, 2) for _ in range(n)] for _ in range(rng.randint(2, 4))])
+        if len(I) > 1 and I not in ideals:
+            ideals.append(I)
+    cold = [[I.power(0)] + [_cold_power(I, k) for k in range(1, 5)] for I in ideals]
+    _power_chains.cache_clear()
+    for k in (2, 1, 4, 3, 0, 4):
+        for I, expected in zip(ideals, cold):
+            assert I.power(k) == expected[k]
+
+
+def _cold_power(I: MonomialIdeal, k: int) -> MonomialIdeal:
+    P = I
+    for _ in range(k - 1):
+        P = P.multiply(I)
+    return P
 
 
 def test_ordinary_inside_symbolic():
@@ -396,6 +430,7 @@ def test_lowering_the_cap_empties_the_caches():
     with generator_cap(_DEFAULT_GENERATOR_CAP + 1):  # raising keeps the cached results
         assert symbolic_power(G, 3) is built[1]
         assert ordinary_power(G, 3) is built[3]
+        assert J.power(3) is built[3]
         with generator_cap(0):
             with pytest.raises(GeneratorCapExceeded):
                 cover_ideal(G)
@@ -403,6 +438,7 @@ def test_lowering_the_cap_empties_the_caches():
                 (symbolic_power, (G, 3)),
                 (_decomposable_covers, (G, 3, J)),
                 (ordinary_power, (G, 3)),
+                (J.power, (3,)),
             ):
                 with pytest.raises(GeneratorCapExceeded):
                     cached(*args)

@@ -167,9 +167,38 @@ class TestExponentBound:
             MonomialIdeal(1, [(2**62,)]).power(2)
         assert MonomialIdeal(1, [(2**62 - 1,)]).power(2).gens == (M(2**63 - 2),)
 
+    def test_multiply_itself_checks_before_adding(self):
+        I = MonomialIdeal(2, [(2**61, 0), (0, 1)])
+        with pytest.raises(ExponentBoundError, match="2\\*\\*63 - 1"):
+            I.multiply(I)
+
+    def test_principal_power_checks_the_bound_first(self):
+        with pytest.raises(ExponentBoundError):
+            MonomialIdeal.principal(M(1, 0, 2)).power(2**70)
+
     def test_negative_row_rejected(self):
         with pytest.raises(ValueError, match="negative exponent"):
             MonomialIdeal(2, [(0, 0), (-1, 0)])
+
+
+class TestPower:
+    def test_unit_power_overflows_nothing(self):
+        assert MonomialIdeal.unit(3).power(2**63).is_unit()
+        assert MonomialIdeal.zero(3).power(2**63).is_zero()
+
+    def test_principal_power_multiplies_nothing(self, monkeypatch):
+        def refuse(self, other):
+            raise AssertionError("multiply called")
+
+        monkeypatch.setattr(MonomialIdeal, "multiply", refuse)
+        g = M(1, 0, 2)
+        assert MonomialIdeal.principal(g).power(10**6).gens == (g ** 10**6,)
+
+    def test_unit_and_zero_refuse_a_bad_ring(self):
+        for make, gens in ((MonomialIdeal.unit, [(0, 0)]), (MonomialIdeal.zero, [])):
+            with pytest.raises(ValueError):
+                make(-1)
+            assert make(2) == MonomialIdeal(2, gens)
 
 
 class TestInvariants:

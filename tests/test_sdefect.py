@@ -1,7 +1,6 @@
 """Symbolic defect: brute force, the two-step recursion, odd cycles,
 triangle tails, indecomposability evidence."""
 import random
-from itertools import islice
 
 import numpy as np
 import pytest
@@ -11,7 +10,6 @@ from symdef import sdefect as sdefect_module
 from symdef.covers import (
     _decomposable_covers,
     _minimal_cover_rows,
-    _ordinary_powers,
     cover_ideal,
     ordinary_power,
     symbolic_power,
@@ -30,12 +28,12 @@ from symdef.monomials import (
     GeneratorCapExceeded,
     Monomial,
     MonomialIdeal,
+    _power_chains,
     all_ones,
     generator_cap,
 )
 from symdef.sdefect import (
     PreconditionError,
-    _not_divisible_count,
     check_indecomposability_conditions,
     check_indecomposability_exhaustive,
     has_unique_extra_2cover,
@@ -185,9 +183,12 @@ class TestNu:
             P = MonomialIdeal(n, rows)
             # 2**70 does not fit int64: no generator reaches it
             F = Monomial([rng.choice((0, 1, 2, 3, 2**70)) for _ in range(n)])
-            assert _not_divisible_count(P, F) == sum(1 for g in P.gens if not F.divides(g))
+            assert nu(P, 1, F) == sum(1 for g in P.gens if not F.divides(g))
         with pytest.raises(AmbientMismatchError):
             nu(cover_ideal(complete(3)), 2, all_ones(2))
+
+    def test_unit_ideal_answers_at_once(self):
+        assert nu(MonomialIdeal.unit(3), 10**9, all_ones(3)) == 1
 
 
 class TestRecursion:
@@ -224,7 +225,7 @@ class TestRecursion:
             calls.append(1)
             return real(self, other)
 
-        _ordinary_powers.cache_clear()
+        _power_chains.cache_clear()
         monkeypatch.setattr(MonomialIdeal, "multiply", counting)
         G = complete(6)
         values = [sdefect_recursive(G, m).value for m in range(1, 13)]
@@ -351,10 +352,6 @@ class TestOddCycles:
 
 
 class TestPowerChain:
-    def test_powers_match_power(self):
-        I = cover_ideal(cycle(5))
-        assert list(islice(I.powers(), 5)) == [I.power(k) for k in range(5)]
-
     def test_cycle_recursion_walks_one_chain(self, monkeypatch):
         calls = []
         real = MonomialIdeal.multiply
