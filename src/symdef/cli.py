@@ -161,9 +161,7 @@ def _cmd_sdefect(args) -> int:
         if methods in ("brute", "all"):
             rep = sdefect.sdefect_brute(G, m)
             per_method["brute"] = rep.value
-            results.append(
-                {"m": m, "method": "brute", "sdefect": rep.value, "witnesses": len(rep.witnesses)}
-            )
+            results.append({"m": m, "method": "brute", "sdefect": rep.value, "witnesses": rep.value})
         if methods in ("recursion", "all"):
             try:
                 rep = sdefect.sdefect_recursive(G, m)

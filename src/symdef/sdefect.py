@@ -4,7 +4,7 @@ and indecomposability checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
@@ -37,11 +37,31 @@ class PreconditionError(ValueError):
 
 @dataclass(frozen=True)
 class SdefectReport:
+    """A symbolic defect with the method that gave it.
+
+    From `sdefect_brute`, value is mu(J^(m)) - |D_m|, where D_m, the
+    minimal m-covers that are sums of m minimal vertex covers, is a subset
+    of G(J^(m)); `witnesses`, the generators of J^(m) outside D_m, are
+    built when first read, from the two row arrays the report holds.  The
+    recursion and cycle methods list no witnesses.  Reports compare and
+    hash by graph, m, value and method only.
+    """
+
     graph: str
     m: int
     value: int
     method: str
-    witnesses: tuple[Monomial, ...] = ()
+    # (rows of J^(m), rows of D_m) from `sdefect_brute`, else None
+    _rows: tuple[np.ndarray, np.ndarray] | None = field(default=None, compare=False, repr=False)
+
+    @cached_property
+    def witnesses(self) -> tuple[Monomial, ...]:
+        if self._rows is None:
+            return ()
+        sym, D = self._rows
+        inside = set(map(tuple, D.tolist()))
+        rows = map(tuple, sym.tolist())
+        return tuple(_row_monomial(g) for g in rows if g not in inside)
 
 
 def _graph_id(G: Graph) -> str:
@@ -71,14 +91,18 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     witnesses are the generators of J^(m) outside them.  Each level forms
     a sum once per sorted multiset of covers, not once per ordering;
     `_decomposable_covers` proves that this loses no sum.
+
+    The level D_m keeps only distinct rows that are minimal m-covers, so
+    D_m is a subset of G(J^(m)) and the defect is mu(J^(m)) - |D_m|, a
+    difference of two array lengths.  The witness monomials are built
+    only when `SdefectReport.witnesses` is first read.
     """
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
     _check_m(m)
-    inside = set(map(tuple, _decomposable_covers(G, m, cover_ideal(G))[0].tolist()))
-    rows = map(tuple, symbolic_power(G, m)._arr.tolist())
-    witnesses = tuple(_row_monomial(g) for g in rows if g not in inside)
-    return SdefectReport(_graph_id(G), m, len(witnesses), "brute", witnesses)
+    D = _decomposable_covers(G, m, cover_ideal(G))[0]
+    sym = symbolic_power(G, m)._arr
+    return SdefectReport(_graph_id(G), m, len(sym) - len(D), "brute", (sym, D))
 
 
 def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:

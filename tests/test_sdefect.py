@@ -1,6 +1,7 @@
 """Symbolic defect: brute force, the two-step recursion, odd cycles,
 triangle tails, indecomposability evidence."""
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -34,6 +35,7 @@ from symdef.monomials import (
 )
 from symdef.sdefect import (
     PreconditionError,
+    SdefectReport,
     check_indecomposability_conditions,
     check_indecomposability_exhaustive,
     has_unique_extra_2cover,
@@ -93,7 +95,10 @@ class TestBruteWithoutOrdinaryPower:
             G = Graph.from_edges(H.n, [(perm[i], perm[j]) for i, j in H.edges])
             for m in range(1, 6):
                 rep = sdefect_brute(G, m)
-                assert rep.witnesses == _membership_witnesses(G, m), (sorted(G.edges), m)
+                expected = _membership_witnesses(G, m)
+                # the count mu(J^(m)) - |D_m| against the membership route
+                assert rep.value == len(expected), (sorted(G.edges), m)
+                assert rep.witnesses == expected, (sorted(G.edges), m)
                 # the chain holds generators of J^(m) only: the rest are witnesses
                 D, _ = _decomposable_covers(G, m, cover_ideal(G))
                 assert len(D) + rep.value == len(symbolic_power(G, m))
@@ -152,6 +157,61 @@ class TestBruteWithoutOrdinaryPower:
             assert [sdefect_brute(G, m).witnesses for m in range(1, 7)] == expected
         finally:
             _decomposable_covers.cache_clear()
+
+
+class TestLazyWitnesses:
+    def test_value_builds_no_monomial(self, monkeypatch):
+        built = []
+        real = sdefect_module._row_monomial
+
+        def counting(row):
+            built.append(row)
+            return real(row)
+
+        monkeypatch.setattr(sdefect_module, "_row_monomial", counting)
+        rep = sdefect_brute(cycle(7), 4)
+        assert rep.value == 22
+        assert built == [] and "witnesses" not in vars(rep)
+        assert len(rep.witnesses) == len(built) == 22
+        assert rep.witnesses is rep.witnesses and len(built) == 22  # built once
+
+    def test_witnesses_outlive_the_caches(self):
+        G, m = cycle(7), 4
+        rep = sdefect_brute(G, m)
+        with generator_cap(0):  # the step down empties the caches
+            pass
+        assert symbolic_power.cache_info().currsize == 0
+        assert _decomposable_covers.cache_info().currsize == 0
+        witnesses = rep.witnesses
+        # the report read its own rows, no cache
+        assert symbolic_power.cache_info().currsize == 0
+        assert witnesses == _membership_witnesses(G, m)
+
+    def test_reports_compare_by_value_not_rows(self):
+        G = cycle(5)
+        first, second = sdefect_brute(G, 3), sdefect_brute(G, 3)
+        first.witnesses  # built on one report only
+        bare = SdefectReport(first.graph, 3, 5, "brute")
+        assert first == second == bare
+        assert hash(first) == hash(second) == hash(bare)
+        assert repr(first) == repr(bare)
+        assert bare.witnesses == ()
+        assert sdefect_cycle(5, 3).witnesses == ()
+        assert sdefect_recursive(G, 3).witnesses == ()
+
+    def test_count_peak_memory(self):
+        # with J^(6) and D_6 of C13 cached, the count reads two lengths; the
+        # set of D_6 rows and the witness monomials peaked at 7.0 MB here
+        G, m = cycle(13), 6
+        sdefect_brute(G, m)
+        tracemalloc.start()
+        try:
+            rep = sdefect_brute(G, m)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert rep.value == 937
+        assert peak < 1_000_000
 
 
 def test_m_validation():
