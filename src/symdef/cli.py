@@ -40,10 +40,11 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
-def _parse_m_range(text: str) -> tuple[int, int]:
+def _parse_m_range(text: str, n: int) -> tuple[int, int]:
     lo, hi = _parse_range(text)
-    if lo < 1 or hi > sdefect.MAX_M:
-        raise CLIInputError(f"m range must lie within 1..{sdefect.MAX_M}")
+    if lo < 1:
+        raise CLIInputError("m range must start at 1 or above")
+    covers._check_power_range("symbolic", n, hi)
     return lo, hi
 
 
@@ -152,7 +153,7 @@ def _is_odd_cycle(G: graphs.Graph) -> bool:
 def _cmd_sdefect(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    lo, hi = _parse_m_range(args.m)
+    lo, hi = _parse_m_range(args.m, G.n)
     methods = args.method
     results, warnings = [], []
     mismatch = False
@@ -213,7 +214,7 @@ def _cmd_waldschmidt(args) -> int:
 def _cmd_fit(args) -> int:
     started = time.monotonic()
     G = _load_graph(args)
-    lo, hi = _parse_m_range(args.m)
+    lo, hi = _parse_m_range(args.m, G.n)
     seq = [sdefect.sdefect_brute(G, m).value for m in range(lo, hi + 1)]
     try:
         qp = asymptotics.fit_quasipolynomial(seq, start=lo, period=args.period)
@@ -270,7 +271,7 @@ def _cmd_verify(args) -> int:
     ok = True
     if identity == "kn":
         n_lo, n_hi = _parse_range(args.n or "3..5")
-        m_lo, m_hi = _parse_m_range(args.m or "2..8")
+        m_lo, m_hi = _parse_m_range(args.m or "2..8", n_hi)
         if n_lo < 3:
             raise CLIInputError(
                 "the K_n closed form needs n >= 3; compute sdefect directly below that"
@@ -287,7 +288,7 @@ def _cmd_verify(args) -> int:
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
     elif identity == "cycle":
         n_lo, n_hi = _parse_range(args.n or "5..7")
-        m_lo, m_hi = _parse_m_range(args.m or "2..5")
+        m_lo, m_hi = _parse_m_range(args.m or "2..5", n_hi)
         for n in range(n_lo, n_hi + 1):
             if n % 2 == 0:
                 continue
@@ -315,7 +316,7 @@ def _cmd_verify(args) -> int:
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}"}
     elif identity == "decomposition":
         G = _load_graph(args)
-        m_lo, m_hi = _parse_m_range(args.m or "3..5")
+        m_lo, m_hi = _parse_m_range(args.m or "3..5", G.n)
         if m_lo < 3:
             raise CLIInputError(
                 f"verify decomposition: no instance in range at m = {m_lo}; "

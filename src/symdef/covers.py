@@ -152,7 +152,6 @@ def _minimal_cover_rows(G: Graph, rows: np.ndarray, m: int) -> np.ndarray:
     return ok
 
 
-@lru_cache(maxsize=None)
 def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndarray, np.ndarray]:
     """D_m: the minimal vertex m-covers that are sums of m generators
     c_0, ..., c_(k-1) of `base`, minimal vertex covers of G, as rows in
@@ -174,41 +173,51 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     keeps the first of equal rows, so the j kept with each row is its
     last.  With the rows of D_(m-1) sorted by last, the rows usable with
     c_j are a prefix, whose length one searchsorted gives.  The pairs
-    count against the generator cap and are built _BLOCK_WORDS at a
-    time; each block is deduplicated as soon as it is built, so
-    duplicates never pile up across the whole level.
+    are built _BLOCK_WORDS at a time; each block is deduplicated as soon
+    as it is built, so duplicates never pile up across the whole level.
+    The levels are kept in `_cover_sum_chains`, one chain per (G, base),
+    and extended one at a time; before a level is formed, the rows the
+    chain holds and then its pairs count against the generator cap.
 
     The sums are held in `_row_dtype(m)`: a minimal (m-1)-cover plus a
     0/1 cover has entries at most m, and `_minimal_cover_rows` computes
     nothing larger.  Only the rows that pass are cast back to int64.
     """
-    if m <= 1:  # the empty sum; each cover c_j, the sorted sum of itself
-        if m:
-            return base._arr, np.arange(len(base))
-        return np.zeros((1, G.n), dtype=np.int64), np.zeros(1, dtype=np.intp)
-    prev, prev_last = _decomposable_covers(G, m - 1, base)
-    order = np.argsort(prev_last, kind="stable")
-    # c_j sums with the first counts[j] rows in `order`
-    counts = np.searchsorted(prev_last[order], np.arange(len(base)), side="right")
-    ends = np.cumsum(counts)
-    starts = ends - counts
-    total = int(ends[-1])
-    _check_cap(total)
-    dtype = _row_dtype(m)
-    rows, covers = prev[order].astype(dtype), base._arr.astype(dtype)
-    kept, tops = [], []
-    for lo in range(0, total, monomials._BLOCK_WORDS):
-        pair = np.arange(lo, min(lo + monomials._BLOCK_WORDS, total))
-        j = np.searchsorted(ends, pair, side="right")
-        cand = rows[pair - starts[j]] + covers[j]
-        ok = _minimal_cover_rows(G, cand, m)
-        out, *_, first = _distinct_rows(cand[ok].astype(np.int64))
-        kept.append(out)
-        tops.append(j[ok][first])
-    if len(kept) == 1:
-        return kept[0], tops[0]
-    out, *_, first = _distinct_rows(np.vstack(kept))
-    return out, np.concatenate(tops)[first]
+    chain = _cover_sum_chains(G, base)
+    for k in range(len(chain), m + 1):
+        _check_cap(sum(len(D) for D, _ in chain))
+        prev, prev_last = chain[-1]
+        order = np.argsort(prev_last, kind="stable")
+        # c_j sums with the first counts[j] rows in `order`
+        counts = np.searchsorted(prev_last[order], np.arange(len(base)), side="right")
+        ends = np.cumsum(counts)
+        starts = ends - counts
+        total = int(ends[-1])
+        _check_cap(total)
+        dtype = _row_dtype(k)
+        rows, covers = prev[order].astype(dtype), base._arr.astype(dtype)
+        kept, tops = [], []
+        for lo in range(0, total, monomials._BLOCK_WORDS):
+            pair = np.arange(lo, min(lo + monomials._BLOCK_WORDS, total))
+            j = np.searchsorted(ends, pair, side="right")
+            cand = rows[pair - starts[j]] + covers[j]
+            ok = _minimal_cover_rows(G, cand, k)
+            out, *_, first = _distinct_rows(cand[ok].astype(np.int64))
+            kept.append(out)
+            tops.append(j[ok][first])
+        if len(kept) > 1:
+            out, *_, first = _distinct_rows(np.vstack(kept))
+            kept, tops = [out], [np.concatenate(tops)[first]]
+        chain.append((kept[0], tops[0]))
+    return chain[m]
+
+
+@lru_cache(maxsize=16)
+def _cover_sum_chains(G: Graph, base: MonomialIdeal) -> list[tuple[np.ndarray, np.ndarray]]:
+    """(D_0, last), (D_1, last), ... of G and base, as far as
+    `_decomposable_covers` has built them; only a few chains are kept."""
+    empty = np.zeros((1, G.n), dtype=np.int64), np.zeros(1, dtype=np.intp)
+    return [empty, (base._arr, np.arange(len(base)))]
 
 
 def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
@@ -220,7 +229,7 @@ def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
 
 
 # lowering the generator cap empties these caches (`monomials.generator_cap`)
-monomials._capped_caches += (symbolic_power, _decomposable_covers)
+monomials._capped_caches += (symbolic_power, _cover_sum_chains)
 
 
 def _check_ring(G: Graph, f: Monomial) -> None:

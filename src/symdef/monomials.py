@@ -470,8 +470,9 @@ class MonomialIdeal:
         """I^k.  An ideal of at most one generator g answers at once, with
         itself or (g^k); any other ideal extends its chain I^0, I^1, ...
         in `_power_chains` from the highest power built so far, one
-        multiply by I per step.  This is the only code that multiplies an
-        ideal by itself."""
+        multiply by I per step; before each step the generators the chain
+        already holds count against the generator cap.  This is the only
+        code that multiplies an ideal by itself."""
         if k < 0:
             raise ValueError("negative ideal power")
         if k and len(self._arr) <= 1:
@@ -480,6 +481,7 @@ class MonomialIdeal:
             return MonomialIdeal._from_minimal(self.n, self._arr * k) if top else self
         chain = _power_chains(self)
         while len(chain) <= k:
+            _check_cap(sum(map(len, chain)))
             chain.append(chain[-1].multiply(self))
         return chain[k]
 

@@ -21,8 +21,6 @@ from .monomials import (
     all_ones,
 )
 
-MAX_M = 12
-
 # hypothesis of the recursion, the resurgence bound and the degree prediction
 UNIQUE_EXTRA_2COVER = "sdefect(J(G), 2) == 1"
 
@@ -68,11 +66,6 @@ def _graph_id(G: Graph) -> str:
     return f"graph(n={G.n}, edges={len(G.edges)})"
 
 
-def _check_m(m: int) -> None:
-    if m > MAX_M:
-        raise ValueError(f"m={m} exceeds the configured cap {MAX_M}")
-
-
 def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     """Count minimal generators of the m-th symbolic power that miss the
     m-th ordinary power.
@@ -88,9 +81,8 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     leaves a minimal (m-1)-cover: a smaller (m-1)-cover h would give the
     smaller m-cover h + c_m.  So these sums are built level by level from
     the minimal covers alone (`covers._decomposable_covers`), and the
-    witnesses are the generators of J^(m) outside them.  Each level forms
-    a sum once per sorted multiset of covers, not once per ordering;
-    `_decomposable_covers` proves that this loses no sum.
+    witnesses are the generators of J^(m) outside them.  J^(m) is read
+    first, so its range check and its cap refuse a huge m at once.
 
     The level D_m keeps only distinct rows that are minimal m-covers, so
     D_m is a subset of G(J^(m)) and the defect is mu(J^(m)) - |D_m|, a
@@ -99,9 +91,8 @@ def sdefect_brute(G: Graph, m: int) -> SdefectReport:
     """
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
-    _check_m(m)
-    D = _decomposable_covers(G, m, cover_ideal(G))[0]
     sym = symbolic_power(G, m)._arr
+    D = _decomposable_covers(G, m, cover_ideal(G))[0]
     return SdefectReport(_graph_id(G), m, len(sym) - len(D), "brute", (sym, D))
 
 
@@ -197,7 +188,6 @@ def check_indecomposability_exhaustive(
     for k in range(1, m_max // 2 + 1):
         for s in range(0, m_max - 2 * k + 1):
             m = 2 * k + s
-            _check_m(m)
             _check_cap(comb(len(I) + s - 1, s))
             combos = np.array(list(combinations_with_replacement(range(len(I)), s)), dtype=np.intp)
             prods = k + I._arr[combos].sum(axis=1)
@@ -234,7 +224,6 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
     """
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
-    _check_m(m)
     method = "recursion"
     if not has_unique_extra_2cover(G):
         raise PreconditionError(UNIQUE_EXTRA_2COVER)
@@ -280,15 +269,13 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
     of k staircase covers: a generator of S^k dividing such a sum is a
     k-cover below it, so equals it.  So nu(k) is the size of the level
     `covers._decomposable_covers(C_n, k, S)` (the empty sum gives
-    nu(0) = 1), and S^k is never built.  Each level forms a sum once per
-    sorted multiset of staircase covers; `_decomposable_covers` proves
-    that this loses no sum.
+    nu(0) = 1), and S^k is never built.
 
     Proved: sdefect(m) = #{h in G(J^(m-2)) : F*h not in J^m}, from
     J^(m) = J^m + F*J^(m-2), which holds since the symbolic Rees algebra
     of a cover ideal is generated in degree <= 2 (Herzog-Hibi-Trung).
     Checked only against `sdefect_brute`: the split of that count into
-    sdefect(m-2) + nu(m-2), on C5 m <= 12, C7 m <= 10, C9 m <= 7,
+    sdefect(m-2) + nu(m-2), on C5 m <= 40, C7 m <= 24, C9 m <= 7,
     C11 m <= 6, C13 m <= 5 and C15 m <= 3; it is not proved for every odd
     n and m.
     """
@@ -296,7 +283,6 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
         raise ValueError("cycle recursion needs odd n >= 3")
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
-    _check_m(m)
     G, S = cycle(n), staircase_ideal(n)
     value = sum(len(_decomposable_covers(G, k, S)[0]) for k in range(m % 2, m - 1, 2))
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")

@@ -58,6 +58,16 @@ def test_sdefect_all_methods_agree(capsys):
     assert not report["warnings"]
 
 
+def test_sdefect_all_methods_agree_past_twelve(capsys):
+    # no bound on m but the generator cap: all three methods at m = 13, 14
+    code, report, _ = run_json(
+        capsys, "sdefect", "--family", "C5", "--m", "13..14", "--method", "all"
+    )
+    assert code == EXIT_OK
+    assert len(report["results"]) == 6 and not report["warnings"]
+    assert {(r["m"], r["sdefect"]) for r in report["results"]} == {(13, 180), (14, 211)}
+
+
 def test_sdefect_tsv(capsys):
     code, out, _ = run(
         capsys, "sdefect", "--family", "K3", "--m", "2", "--format", "tsv"
@@ -279,22 +289,31 @@ class TestInputErrors:
         assert "m >= 3" in err
 
     def test_decomposition_m_beyond_cap(self, capsys):
-        code, out, err = run(capsys, "verify", "decomposition", "--family", "C5", "--m", "3..13")
+        # past the m whose rows int64 holds on 5 vertices, refused before any m is computed
+        top = (2**63 - 1) // 5
+        argv = ["verify", "decomposition", "--family", "C5", "--m", f"3..{top + 1}"]
+        code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
-        assert f"1..{sdefect.MAX_M}" in err
+        assert f"needs 0 <= m <= {top}" in err
 
     @pytest.mark.parametrize(
-        "argv", [["kn", "--n", "3..3"], ["cycle", "--n", "5..5"]], ids=["kn", "cycle"]
+        "argv",
+        [["kn", "--n", "3..3"], ["cycle", "--n", "5..5"], ["kn", "--n", "3..4"]],
+        ids=["kn", "cycle", "kn-top-n"],
     )
     def test_verify_m_beyond_cap(self, capsys, argv):
-        # refused before any m is computed, as sdefect and fit refuse it
-        code, out, err = run(capsys, "verify", *argv, "--m", "2..13")
+        # refused before any m is computed, as sdefect and fit refuse it: the
+        # bound is that of the largest n in the range
+        n = int(argv[-1].split("..")[1])
+        top = (2**63 - 1) // n
+        code, out, err = run(capsys, "verify", *argv, "--m", f"2..{top + 1}")
         assert (code, out) == (EXIT_INPUT, "")
-        assert f"1..{sdefect.MAX_M}" in err
+        assert f"needs 0 <= m <= {top}" in err
 
     def test_m_beyond_cap(self, capsys):
-        code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "1..99")
-        assert code == EXIT_INPUT
+        for command in ("sdefect", "fit"):
+            code, out, _ = run(capsys, command, "--family", "K3", "--m", "1..3074457345618258603")
+            assert (code, out) == (EXIT_INPUT, "")
 
     def test_cycle_method_needs_odd_cycle(self, capsys):
         code, _, _ = run(

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from symdef.covers import (
+    _cover_sum_chains,
     _decomposable_covers,
     _elimination_plan,
     _minimal_cover_rows,
@@ -195,13 +196,13 @@ def test_elimination_plan_serves_the_right_graph(connected_atlas):
     graphs += [_relabeled(cycle(7), rng) for _ in range(6)]
     graphs += [T, Graph.from_edges(T.n, [(j, i) for i, j in reversed(T.edge_list())])]
     assert len(set(graphs)) > _elimination_plan.cache_info().maxsize
-    caches = (_elimination_plan, symbolic_power, _decomposable_covers)
+    caches = (_elimination_plan, symbolic_power, _cover_sum_chains)
 
     def cold(G, m):
         for f in caches:
             f.cache_clear()
         J_m = symbolic_power.__wrapped__(G, m)._arr
-        return J_m, _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+        return J_m, _decomposable_covers(G, m, cover_ideal(G))
 
     expected = {(G, m): cold(G, m) for G in graphs for m in (1, 2, 3)}
     for f in caches:
@@ -210,7 +211,8 @@ def test_elimination_plan_serves_the_right_graph(connected_atlas):
         for G in graphs + graphs[::-1]:
             J, D = expected[G, m]
             assert np.array_equal(symbolic_power.__wrapped__(G, m)._arr, J), (sorted(G.edges), m)
-            D_m, last = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+            _cover_sum_chains.cache_clear()  # every level reads the plan cache again
+            D_m, last = _decomposable_covers(G, m, cover_ideal(G))
             assert np.array_equal(D_m, D[0]) and np.array_equal(last, D[1]), (sorted(G.edges), m)
 
 
@@ -274,8 +276,9 @@ def test_path_symbolic_powers_in_narrow_rows():
         assert sorted(J._arr[:, 0].tolist()) == list(range(m + 1))
         assert (J._arr.sum(axis=1) == m).all()
     for G in (path(2), cycle(5), complete(4), triangle_tail(3)):
+        _cover_sum_chains.cache_clear()
         for m in range(5):
-            D, _ = _decomposable_covers.__wrapped__(G, m, cover_ideal(G))
+            D, _ = _decomposable_covers(G, m, cover_ideal(G))
             assert D.dtype == np.int64, (sorted(G.edges), m)
 
 
@@ -312,6 +315,40 @@ def test_ordinary_power_is_built_in_a_loop():
     assert ordinary_power(cycle(7), 3) == J.power(3)
     assert ordinary_power(cycle(7), 5) == J.power(5)
     assert len(_power_chains(J)) == 6
+
+
+def test_power_chain_counts_the_powers_it_holds():
+    # J(K2)^k has k + 1 generators, so each step stays far below the cap;
+    # the powers I^0, ..., I^44 held before I^45 sum to 1,035 and trip it
+    with generator_cap(1000):
+        with pytest.raises(GeneratorCapExceeded) as exc:
+            ordinary_power(complete(2), 100)
+        assert exc.value.candidates == 1035
+        assert len(_power_chains(cover_ideal(complete(2)))) == 45
+    assert len(ordinary_power(complete(2), 100)) == 101
+
+
+def test_cover_sum_chain_counts_the_levels_it_holds():
+    # D_k of K2 has k + 1 rows and k + 1 pairs; the levels D_0, ..., D_44
+    # held before D_45 sum to 1,035 and trip the cap
+    G = complete(2)
+    with generator_cap(1000):
+        with pytest.raises(GeneratorCapExceeded) as exc:
+            _decomposable_covers(G, 100, cover_ideal(G))
+        assert exc.value.candidates == 1035
+    assert len(_decomposable_covers(G, 100, cover_ideal(G))[0]) == 101
+
+
+def test_cover_sum_chain_is_built_in_a_loop():
+    # one level per loop step, no recursion: a cold K3 chain reaches m = 600,
+    # with the three rows k * c_j at each level
+    G = complete(3)
+    J = cover_ideal(G)
+    _cover_sum_chains.cache_clear()
+    D, last = _decomposable_covers(G, 600, J)
+    assert np.array_equal(D, 600 * J._arr) and last.tolist() == [0, 1, 2]
+    assert len(_cover_sum_chains(G, J)) == 601
+    assert _cover_sum_chains.cache_info().maxsize == 16
 
 
 def test_ordinary_power_shares_the_power_chain_of_j():

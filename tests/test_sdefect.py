@@ -9,6 +9,7 @@ import pytest
 from symdef import monomials
 from symdef import sdefect as sdefect_module
 from symdef.covers import (
+    _cover_sum_chains,
     _decomposable_covers,
     _minimal_cover_rows,
     cover_ideal,
@@ -140,23 +141,27 @@ class TestBruteWithoutOrdinaryPower:
         last = _decomposable_covers(G, 3, J)[1]
         count = sum(int((last <= j).sum()) for j in range(len(J)))
         assert count == 125
-        build = _decomposable_covers.__wrapped__  # uncached: every call runs under the cap
+        # the rows held before level 4 count first, and stay below the pairs
+        assert sum(len(D) for D, _ in _cover_sum_chains(G, J)[:4]) == 71
+        expected = _decomposable_covers(G, 4, J)
+        # each step down empties the chain cache: every level is built under the cap
         with generator_cap(count - 1):
-            with pytest.raises(GeneratorCapExceeded):
-                build(G, 4, J)
+            with pytest.raises(GeneratorCapExceeded) as exc:
+                _decomposable_covers(G, 4, J)
+            assert exc.value.candidates == count
         with generator_cap(count):
-            built, expected = build(G, 4, J), _decomposable_covers(G, 4, J)
+            built = _decomposable_covers(G, 4, J)
             assert all(map(np.array_equal, built, expected))
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
         G = cycle(7)
         expected = [sdefect_brute(G, m).witnesses for m in range(1, 7)]
         monkeypatch.setattr(monomials, "_BLOCK_WORDS", 1)
-        _decomposable_covers.cache_clear()
+        _cover_sum_chains.cache_clear()
         try:
             assert [sdefect_brute(G, m).witnesses for m in range(1, 7)] == expected
         finally:
-            _decomposable_covers.cache_clear()
+            _cover_sum_chains.cache_clear()
 
 
 class TestLazyWitnesses:
@@ -181,7 +186,7 @@ class TestLazyWitnesses:
         with generator_cap(0):  # the step down empties the caches
             pass
         assert symbolic_power.cache_info().currsize == 0
-        assert _decomposable_covers.cache_info().currsize == 0
+        assert _cover_sum_chains.cache_info().currsize == 0
         witnesses = rep.witnesses
         # the report read its own rows, no cache
         assert symbolic_power.cache_info().currsize == 0
@@ -217,8 +222,20 @@ class TestLazyWitnesses:
 def test_m_validation():
     with pytest.raises(ValueError):
         sdefect_brute(complete(3), 0)
-    with pytest.raises(ValueError):
-        sdefect_brute(complete(3), 99)
+    # past the m whose rows int64 holds, J^(m) refuses before the chain is extended
+    top = (2**63 - 1) // 3
+    with pytest.raises(ValueError, match=f"needs 0 <= m <= {top}"):
+        sdefect_brute(complete(3), top + 1)
+
+
+def test_brute_refuses_a_huge_m_at_the_first_vertex():
+    # J^(m) of K2 copies m + 1 rows at its first vertex: past the cap at once,
+    # before any level of the chain is built
+    _cover_sum_chains.cache_clear()
+    with pytest.raises(GeneratorCapExceeded) as exc:
+        sdefect_brute(complete(2), 10**9)
+    assert exc.value.candidates == 10**9 + 1
+    assert _cover_sum_chains.cache_info().currsize == 0
 
 
 class TestNu:
@@ -270,9 +287,10 @@ class TestRecursion:
 
     def test_exhaustive_check_stays_within_max_m(self):
         # no generator-shape condition holds, so the exhaustive check runs;
-        # it tests products of level 2k + s <= m only, so m up to MAX_M works
+        # it tests products of level 2k + s <= m only, one capped batch per
+        # (k, s), so it runs past m = 12 as well
         G = Graph.from_edges(5, [(0, 1), (0, 2), (0, 4), (1, 2), (2, 3)])
-        for m, expected in zip(range(8, 13), (28, 36, 45, 55, 66)):
+        for m, expected in zip(range(8, 17), (28, 36, 45, 55, 66, 78, 91, 105, 120)):
             rep = sdefect_recursive(G, m)
             assert rep.method == "recursion(exhaustive-check)"
             assert rep.value == sdefect_brute(G, m).value == expected
