@@ -174,14 +174,6 @@ class WaldschmidtReport:
     resurgence_lower_bound: Fraction | None = None
 
 
-def waldschmidt_general(powers: Sequence[MonomialIdeal]) -> Fraction:
-    """min over m <= n_gen of alpha(I^(m))/m, for caller-supplied symbolic
-    powers indexed 1..n_gen."""
-    if not powers:
-        raise ValueError("need at least the first symbolic power")
-    return min(Fraction(P.alpha(), m) for m, P in enumerate(powers, start=1))
-
-
 def resurgence_lower_bound(G: Graph) -> Fraction:
     """Two-case lower bound on the resurgence for graphs with a unique
     extra 2-cover generator."""
@@ -194,9 +186,15 @@ def resurgence_lower_bound(G: Graph) -> Fraction:
 
 
 def waldschmidt(G: Graph) -> WaldschmidtReport:
-    """alpha(I^(2))/2, exact, via the degree-2 generation of the symbolic
-    Rees algebra of a cover ideal; includes the resurgence lower bound
-    when its hypothesis holds."""
+    """The Waldschmidt constant of J = J(G), exact, with the resurgence
+    lower bound when its hypothesis holds.
+
+    If the symbolic Rees algebra of an ideal I is Noetherian and
+    generated in degree <= n_gen, the Waldschmidt constant is
+    min over m <= n_gen of alpha(I^(m))/m.  The symbolic Rees algebra of
+    a cover ideal is generated in degree <= 2 (Herzog-Hibi-Trung, Adv.
+    Math. 210 (2007)), so the constant is min(alpha(J), alpha(J^(2))/2),
+    which is alpha(J^(2))/2."""
     if not G.edges:
         raise ValueError("waldschmidt needs a graph with at least one edge")
     alphas = (cover_ideal(G).alpha(), symbolic_power(G, 2).alpha())

@@ -66,7 +66,7 @@ def _check_power_range(kind: str, n: int, m: int) -> None:
         raise ValueError(f"{kind} power on {n} vertices needs 0 <= m <= {top}, got {m}")
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     """m-th symbolic power J^(m) of the cover ideal.  Its generators are
     the minimal vertex m-covers (Herzog-Hibi-Trung): the vectors e with
@@ -107,7 +107,8 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     The partial rows are held in `_row_dtype(m)`, int16 for m < 2^14:
     e_v and low[u] lie in [0, m] and the tightness test adds two of them,
     so no value exceeds 2m and the narrow type is exact.  The finished
-    rows are cast to int64 once, so the ideal is the same as ever.
+    rows are cast to int64 once, so the ideal is the same as ever.  The
+    last 16 (G, m) asked are kept.
     """
     n = G.n
     _check_power_range("symbolic", n, m)
@@ -173,8 +174,10 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     keeps the first of equal rows, so the j kept with each row is its
     last.  With the rows of D_(m-1) sorted by last, the rows usable with
     c_j are a prefix, whose length one searchsorted gives.  The pairs
-    are built _BLOCK_WORDS at a time; each block is deduplicated as soon
-    as it is built, so duplicates never pile up across the whole level.
+    are built _BLOCK_WORDS at a time, which bounds the temporaries of
+    `_minimal_cover_rows`; a block keeps only its minimal covers and
+    their j, and one `_distinct_rows` over the whole level removes the
+    duplicates.
     The levels are kept in `_cover_sum_chains`, one chain per (G, base),
     and extended one at a time; before a level is formed, the rows the
     chain holds and then its pairs count against the generator cap.
@@ -202,13 +205,12 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
             j = np.searchsorted(ends, pair, side="right")
             cand = rows[pair - starts[j]] + covers[j]
             ok = _minimal_cover_rows(G, cand, k)
-            out, *_, first = _distinct_rows(cand[ok].astype(np.int64))
-            kept.append(out)
-            tops.append(j[ok][first])
-        if len(kept) > 1:
-            out, *_, first = _distinct_rows(np.vstack(kept))
-            kept, tops = [out], [np.concatenate(tops)[first]]
-        chain.append((kept[0], tops[0]))
+            kept.append(cand[ok])
+            tops.append(j[ok])
+        del pair, j, cand, ok  # the level's dedup needs only the kept rows
+        kept = np.concatenate(kept, dtype=np.int64)
+        out, *_, first = _distinct_rows(kept)
+        chain.append((out, np.concatenate(tops)[first]))
     return chain[m]
 
 

@@ -86,8 +86,9 @@ class Graph:
         }
         return Graph.from_edges(len(keep), edges)
 
-    def two_coloring(self) -> list[int] | None:
-        """A proper 2-coloring, or None if the graph has an odd cycle."""
+    def is_bipartite(self) -> bool:
+        """True iff the graph has no odd cycle: a search 2-colors each
+        component and meets no edge between two vertices of one color."""
         adj = self.adjacency()
         color = [-1] * self.n
         for start in range(self.n):
@@ -102,11 +103,8 @@ class Graph:
                         color[w] = 1 - color[v]
                         queue.append(w)
                     elif color[w] == color[v]:
-                        return None
-        return color
-
-    def is_bipartite(self) -> bool:
-        return self.two_coloring() is not None
+                        return False
+        return True
 
     def every_vertex_adjacent_to_every_odd_cycle(self) -> bool:
         """True iff each vertex has a neighbor on every odd cycle.

@@ -55,12 +55,13 @@ class ZeroIdealError(ValueError):
 
 
 class GeneratorCapExceeded(RuntimeError):
-    """An intermediate generating set grew past the configured cap."""
+    """A count of exponent rows passed the generator cap: the candidates
+    of a product or of a level of cover sums, the partial rows of J^(m)
+    at one vertex, a batch of products, or the rows a chain already
+    holds."""
 
     def __init__(self, candidates: int, cap: int):
-        super().__init__(
-            f"intermediate generating set needs {candidates} candidates, cap is {cap}"
-        )
+        super().__init__(f"a step counts {candidates} rows, past the generator cap of {cap}")
         self.candidates = candidates
         self.cap = cap
 
@@ -427,11 +428,6 @@ class MonomialIdeal:
         words, guard = _pack(np.vstack([self._arr, rows]))
         k = self._arr.shape[0]
         return _divisible(words[:, :k], words[:, k:], guard)
-
-    def contains_ideal(self, other: "MonomialIdeal") -> bool:
-        """True iff every generator of `other` lies in this ideal."""
-        self._check_ambient(other)
-        return bool(self.contains_each(other.gens).all())
 
     # -- invariants
 

@@ -245,7 +245,7 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
     return SdefectReport(_graph_id(G), m, value, method)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=16)
 def staircase_ideal(n: int) -> MonomialIdeal:
     """For odd n, the ideal generated by the n staircase 1-covers
     g_i = x_i x_{i+2} ... x_{i+n-1} (indices mod n) of the n-cycle:

@@ -17,7 +17,6 @@ from symdef.asymptotics import (
     resurgence_lower_bound,
     sdefect_degree,
     waldschmidt,
-    waldschmidt_general,
 )
 from symdef.covers import cover_ideal, symbolic_power
 from symdef.graphs import complete, cycle
@@ -108,11 +107,6 @@ class TestWaldschmidt:
         assert rep.value == Fraction(5, 2)
         assert rep.alphas == (3, 5)
         assert rep.minimizing_index == 2
-
-    def test_agrees_with_general_form(self):
-        for G in (complete(3), complete(4), cycle(5), cycle(7)):
-            powers = [cover_ideal(G), symbolic_power(G, 2)]
-            assert waldschmidt(G).value == waldschmidt_general(powers)
 
     def test_sampled_ratios_never_dip_below(self):
         for G in (complete(4), cycle(5)):

@@ -358,6 +358,13 @@ class TestResourceCap:
         assert run(capsys, "sdefect", "--family", "C7", "--m", "3")[0] == EXIT_OK
         assert run(capsys, *capped)[0] == EXIT_RESOURCE
 
+    def test_message_counts_rows_at_every_site(self, capsys):
+        # here the count is the rows the cover-sum chain of K2 already
+        # holds, the levels D_0..D_631, not the candidates of one step
+        code, out, err = run(capsys, "sdefect", "--family", "K2", "--m", "150000")
+        assert (code, out) == (EXIT_RESOURCE, "")
+        assert err == "error: a step counts 200028 rows, past the generator cap of 200000\n"
+
     def test_flag_does_not_outlive_the_call(self, capsys):
         run(capsys, "cover-ideal", "--family", "C5", "--max-gens", "0")
         # an uncached product of 4 candidates would trip a leftover cap of 0

@@ -154,12 +154,20 @@ class TestBruteWithoutOrdinaryPower:
             assert all(map(np.array_equal, built, expected))
 
     def test_one_row_blocks_change_nothing(self, monkeypatch):
+        # one dedup over many blocks keeps, of equal rows, the one with the
+        # least j, as one block does
         G = cycle(7)
+        J = cover_ideal(G)
         expected = [sdefect_brute(G, m).witnesses for m in range(1, 7)]
+        levels = list(_cover_sum_chains(G, J))
         monkeypatch.setattr(monomials, "_BLOCK_WORDS", 1)
         _cover_sum_chains.cache_clear()
         try:
             assert [sdefect_brute(G, m).witnesses for m in range(1, 7)] == expected
+            blocked = _cover_sum_chains(G, J)
+            assert len(blocked) == len(levels) == 7
+            for (D, last), (D1, last1) in zip(levels, blocked):
+                assert np.array_equal(D, D1) and np.array_equal(last, last1)
         finally:
             _cover_sum_chains.cache_clear()
 
