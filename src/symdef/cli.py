@@ -63,40 +63,33 @@ def _load_graph(args) -> graphs.Graph:
         raise CLIInputError(f"cannot read graph from {path}: {exc}") from exc
 
 
-def _jsonable(value):
-    if isinstance(value, Fraction):
-        return str(value) if value.denominator != 1 else str(value.numerator)
-    if isinstance(value, monomials.Monomial):
+def _as_text(value):
+    """The `json.dumps` default: fractions and monomials, the exact values
+    a report holds, as strings; any other type raises TypeError."""
+    if isinstance(value, (Fraction, monomials.Monomial)):
         return str(value)
-    if isinstance(value, (list, tuple)):
-        return [_jsonable(v) for v in value]
-    if isinstance(value, dict):
-        return {k: _jsonable(v) for k, v in value.items()}
-    return value
+    raise TypeError(f"Object of type {type(value).__name__} is not JSON serializable")
 
 
-def _emit(args, command: str, input_desc, results, warnings, started) -> None:
-    report = {
-        "command": command,
-        "input": _jsonable(input_desc),
-        "results": _jsonable(results),
-        "warnings": list(warnings),
-        "timing_ms": int((time.monotonic() - started) * 1000),
-    }
-    fmt = getattr(args, "format", "pretty")
-    if fmt == "json":
-        print(json.dumps(report))
-    elif fmt == "tsv":
-        _print_tsv(report["results"])
+def _emit(args, input_desc, results, warnings, started) -> None:
+    """Print one report of `args.cmd`: its rows as JSON, TSV or text."""
+    if args.format == "json":
+        report = {
+            "command": args.cmd,
+            "input": input_desc,
+            "results": results,
+            "warnings": warnings,
+            "timing_ms": int((time.monotonic() - started) * 1000),
+        }
+        print(json.dumps(report, default=_as_text))
+    elif args.format == "tsv":
+        _print_tsv(results)
         for w in warnings:
             print(f"# warning: {w}", file=sys.stderr)
     else:
-        print(f"# {command} {json.dumps(_jsonable(input_desc))}")
-        for row in report["results"]:
-            if isinstance(row, dict):
-                print("  " + "  ".join(f"{k}={_fmt_cell(v)}" for k, v in row.items()))
-            else:
-                print(f"  {row}")
+        print(f"# {args.cmd} {json.dumps(input_desc, default=_as_text)}")
+        for row in results:
+            print("  " + "  ".join(f"{k}={_fmt_cell(v)}" for k, v in row.items()))
         for w in warnings:
             print(f"warning: {w}")
 
@@ -109,36 +102,25 @@ def _fmt_cell(v):
 
 def _print_tsv(results) -> None:
     header: list[str] = []
-    rows = [r for r in results if isinstance(r, dict)]
-    for row in rows:
+    for row in results:
         for key in row:
             if key not in header:
                 header.append(key)
     print("\t".join(header))
-    for row in rows:
+    for row in results:
         print("\t".join(_fmt_cell(row.get(k, "")) for k in header))
 
 
 # ---------------------------------------------------------------------------
-# commands
+# commands: each returns (input, result rows, warnings, exit code) to `main`
 
 
-def _cmd_cover_ideal(args) -> int:
-    started = time.monotonic()
+def _cmd_cover_ideal(args):
     G = _load_graph(args)
-    warnings = []
-    if not G.edges:
-        warnings.append("edgeless graph: vacuous intersection gives the unit ideal")
+    warnings = [] if G.edges else ["edgeless graph: vacuous intersection gives the unit ideal"]
     I = covers.cover_ideal(G)
-    results = [
-        {
-            "generators": [str(g) for g in I.gens],
-            "mu": I.mu(),
-            "alpha": I.alpha(),
-        }
-    ]
-    _emit(args, "cover-ideal", _graph_desc(args, G), results, warnings, started)
-    return EXIT_OK
+    results = [{"generators": list(I.gens), "mu": I.mu(), "alpha": I.alpha()}]
+    return _graph_desc(args, G), results, warnings, EXIT_OK
 
 
 def _graph_desc(args, G: graphs.Graph):
@@ -150,49 +132,43 @@ def _is_odd_cycle(G: graphs.Graph) -> bool:
     return G.n % 2 == 1 and G.n >= 3 and G.edges == graphs.cycle(G.n).edges
 
 
-def _cmd_sdefect(args) -> int:
-    started = time.monotonic()
+def _cmd_sdefect(args):
     G = _load_graph(args)
     lo, hi = _parse_m_range(args.m, G.n)
     methods = args.method
     results, warnings = [], []
     mismatch = False
     for m in range(lo, hi + 1):
-        per_method = {}
+        reports = []
         if methods in ("brute", "all"):
-            rep = sdefect.sdefect_brute(G, m)
-            per_method["brute"] = rep.value
-            results.append({"m": m, "method": "brute", "sdefect": rep.value, "witnesses": rep.value})
+            reports.append(sdefect.sdefect_brute(G, m))
         if methods in ("recursion", "all"):
             try:
-                rep = sdefect.sdefect_recursive(G, m)
+                reports.append(sdefect.sdefect_recursive(G, m))
             except sdefect.PreconditionError as exc:
                 if methods == "recursion":
                     raise CLIInputError(str(exc)) from exc
                 if exc.hypothesis == sdefect.UNIQUE_EXTRA_2COVER:
-                    rep = None
                     warnings.append(f"m={m}: recursion skipped: {exc}")
                 else:
-                    rep = sdefect.sdefect_recursive(G, m, unchecked=True)
+                    reports.append(sdefect.sdefect_recursive(G, m, unchecked=True))
                     warnings.append(f"m={m}: {exc}; formula value reported unchecked")
-            if rep is not None:
-                per_method[rep.method] = rep.value
-                results.append({"m": m, "method": rep.method, "sdefect": rep.value, "witnesses": ""})
         if methods in ("cycle", "all") and (_is_odd_cycle(G) or methods == "cycle"):
             if not _is_odd_cycle(G):
                 raise CLIInputError("--method cycle requires an odd cycle graph C_n")
-            rep = sdefect.sdefect_cycle(G.n, m)
-            per_method["cycle-recursion"] = rep.value
-            results.append({"m": m, "method": rep.method, "sdefect": rep.value, "witnesses": ""})
+            reports.append(sdefect.sdefect_cycle(G.n, m))
+        per_method = {}
+        for rep in reports:
+            per_method[rep.method] = rep.value
+            witnesses = rep.value if rep.method == "brute" else ""
+            results.append({"m": m, "method": rep.method, "sdefect": rep.value, "witnesses": witnesses})
         if len(set(per_method.values())) > 1:
             mismatch = True
             warnings.append(f"m={m}: methods disagree: {per_method}")
-    _emit(args, "sdefect", _graph_desc(args, G), results, warnings, started)
-    return EXIT_MISMATCH if mismatch else EXIT_OK
+    return _graph_desc(args, G), results, warnings, EXIT_MISMATCH if mismatch else EXIT_OK
 
 
-def _cmd_waldschmidt(args) -> int:
-    started = time.monotonic()
+def _cmd_waldschmidt(args):
     G = _load_graph(args)
     rep = asymptotics.waldschmidt(G)
     results = [
@@ -204,15 +180,12 @@ def _cmd_waldschmidt(args) -> int:
             "resurgence_lower_bound": rep.resurgence_lower_bound,
         }
     ]
-    warnings = []
-    if rep.resurgence_lower_bound is None:
-        warnings.append("resurgence bound skipped: sdefect(J(G),2) != 1")
-    _emit(args, "waldschmidt", _graph_desc(args, G), results, warnings, started)
-    return EXIT_OK
+    skipped = rep.resurgence_lower_bound is None
+    warnings = ["resurgence bound skipped: sdefect(J(G),2) != 1"] if skipped else []
+    return _graph_desc(args, G), results, warnings, EXIT_OK
 
 
-def _cmd_fit(args) -> int:
-    started = time.monotonic()
+def _cmd_fit(args):
     G = _load_graph(args)
     lo, hi = _parse_m_range(args.m, G.n)
     seq = [sdefect.sdefect_brute(G, m).value for m in range(lo, hi + 1)]
@@ -229,8 +202,7 @@ def _cmd_fit(args) -> int:
             "sequence": seq,
         }
     ]
-    _emit(args, "fit", _graph_desc(args, G), results, [], started)
-    return EXIT_OK
+    return _graph_desc(args, G), results, [], EXIT_OK
 
 
 def _classification_rows(G: graphs.Graph) -> list[dict]:
@@ -254,21 +226,21 @@ def _classification_rows(G: graphs.Graph) -> list[dict]:
     return rows
 
 
-def _cmd_classify2(args) -> int:
-    started = time.monotonic()
+def _cmd_classify2(args):
     G = _load_graph(args)
     results = _classification_rows(G)
     disagree = not all(row["agrees"] for row in results)
     warnings = ["classification disagrees with membership testing"] if disagree else []
-    _emit(args, "classify2", _graph_desc(args, G), results, warnings, started)
-    return EXIT_MISMATCH if disagree else EXIT_OK
+    return _graph_desc(args, G), results, warnings, EXIT_MISMATCH if disagree else EXIT_OK
 
 
-def _cmd_verify(args) -> int:
-    started = time.monotonic()
+def _cmd_verify(args):
     identity = args.identity
-    results, warnings = [], []
-    ok = True
+    if identity in ("kn", "cycle", "triangle-tail") and (args.family or args.graph):
+        raise CLIInputError(
+            f"verify {identity} sweeps its own graphs over --n; it reads no --family or --graph"
+        )
+    results = []
     if identity == "kn":
         n_lo, n_hi = _parse_range(args.n or "3..5")
         m_lo, m_hi = _parse_m_range(args.m or "2..8", n_hi)
@@ -283,7 +255,6 @@ def _cmd_verify(args) -> int:
                 k, parity = divmod(m - 1, 2)
                 expected = n * k + 1 if parity == 1 else n * k
                 passed = got == expected
-                ok = ok and passed
                 results.append({"n": n, "m": m, "got": got, "expected": expected, "pass": passed})
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
     elif identity == "cycle":
@@ -296,14 +267,12 @@ def _cmd_verify(args) -> int:
                 got = sdefect.sdefect_cycle(n, m).value
                 expected = sdefect.sdefect_brute(graphs.cycle(n), m).value
                 passed = got == expected
-                ok = ok and passed
                 results.append({"n": n, "m": m, "recursion": got, "brute": expected, "pass": passed})
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
     elif identity == "triangle-tail":
         n_lo, n_hi = _parse_range(args.n or "5..7")
         for n in range(n_lo, n_hi + 1):
             rep = sdefect.verify_triangle_tail(n)
-            ok = ok and rep.holds
             results.append(
                 {
                     "n": n,
@@ -328,23 +297,18 @@ def _cmd_verify(args) -> int:
                 covers.symbolic_power(G, 2).multiply(covers.symbolic_power(G, m - 2))
             )
             passed = lhs == rhs
-            ok = ok and passed
             results.append({"m": m, "pass": passed})
         input_desc = {"identity": identity, **_graph_desc(args, G)}
-    elif identity == "classification":
+    else:  # classification; argparse admits no other identity
         G = _load_graph(args)
         for row in _classification_rows(G):
-            ok = ok and row["agrees"]
             results.append({"cover": row["cover"], "kind": row["kind"], "pass": row["agrees"]})
         input_desc = {"identity": identity, **_graph_desc(args, G)}
-    else:  # pragma: no cover - argparse restricts choices
-        raise CLIInputError(f"unknown identity {identity!r}")
     if not results:
         raise CLIInputError(f"verify {identity}: no instance in range")
-    if not ok:
-        warnings.append("verification failed for at least one instance")
-    _emit(args, "verify", input_desc, results, warnings, started)
-    return EXIT_OK if ok else EXIT_MISMATCH
+    ok = all(row["pass"] for row in results)
+    warnings = [] if ok else ["verification failed for at least one instance"]
+    return input_desc, results, warnings, EXIT_OK if ok else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
@@ -401,8 +365,11 @@ def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
         cap = args.max_gens
+        started = time.monotonic()
         with contextlib.nullcontext() if cap is None else monomials.generator_cap(cap):
-            return args.func(args)
+            input_desc, results, warnings, code = args.func(args)
+        _emit(args, input_desc, results, warnings, started)
+        return code
     except monomials.GeneratorCapExceeded as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RESOURCE

@@ -265,8 +265,19 @@ def enumerate_minimal_mcovers(G: Graph, m: int) -> tuple[Monomial, ...]:
 
 
 def is_minimal_mcover(G: Graph, f: Monomial, m: int) -> bool:
+    """True iff e = exps(f) is a minimal vertex m-cover, the equation of
+    `_minimal_cover_rows`: an m-cover in which every vertex with e_v > 0
+    lies on a tight edge, e_u + e_v = m.  One pass over the edges; J^(m)
+    is not built."""
     _check_ring(G, f)
-    return symbolic_power(G, m).gens.count(f) == 1
+    _check_power_range("symbolic", G.n, m)
+    e, tight = f.exps, 0
+    for u, v in G.edges:
+        if e[u] + e[v] < m:
+            return False
+        if e[u] + e[v] == m:
+            tight |= 1 << u | 1 << v
+    return all(tight >> v & 1 for v in range(G.n) if e[v])
 
 
 @dataclass(frozen=True)

@@ -86,6 +86,84 @@ def test_waldschmidt_c5(capsys):
     assert row["resurgence_lower_bound"] == "6/5"
 
 
+def test_waldschmidt_c5_pretty_and_tsv(capsys):
+    # exact fractions print as strings in every format
+    code, out, err = run(capsys, "waldschmidt", "--family", "C5")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        '# waldschmidt {"source": "C5", "n": 5, "edges": [[1, 2], [1, 5], [2, 3], [3, 4], [4, 5]]}\n'
+        "  alpha_1=3  alpha_2=5  waldschmidt=5/2  minimizing_index=2  resurgence_lower_bound=6/5\n"
+    )
+    code, out, err = run(capsys, "waldschmidt", "--family", "C5", "--format", "tsv")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "alpha_1\talpha_2\twaldschmidt\tminimizing_index\tresurgence_lower_bound\n"
+        "3\t5\t5/2\t2\t6/5\n"
+    )
+
+
+class TestMethodsDisagree:
+    """`sdefect --method all` on the tripod-triangle graph: the recursion's
+    exhaustive check passes at m = 1, 2 and fails from m = 3, where its
+    formula, reported unchecked, overcounts the brute count."""
+
+    ROWS = [
+        (1, "brute", 0, 0),
+        (1, "recursion(exhaustive-check)", 0, ""),
+        (2, "brute", 1, 1),
+        (2, "recursion(exhaustive-check)", 1, ""),
+        (3, "brute", 3, 3),
+        (3, "recursion-unchecked", 4, ""),
+        (4, "brute", 7, 7),
+        (4, "recursion-unchecked", 11, ""),
+    ]
+    UNCHECKED = (
+        "hypothesis failed: Indecomposability Property: F^1 * x1*x2*x3 lies in the"
+        " ordinary power of exponent 3; formula value reported unchecked"
+    )
+    WARNINGS = [
+        f"m=3: {UNCHECKED}",
+        "m=3: methods disagree: {'brute': 3, 'recursion-unchecked': 4}",
+        f"m=4: {UNCHECKED}",
+        "m=4: methods disagree: {'brute': 7, 'recursion-unchecked': 11}",
+    ]
+
+    @pytest.fixture
+    def path(self, tmp_path, tripod_triangle):
+        f = tmp_path / "tripod.json"
+        f.write_text(tripod_triangle.to_json())
+        return str(f)
+
+    def _run(self, capsys, path, fmt):
+        argv = ["sdefect", "--graph", path, "--m", "1..4", "--method", "all", "--format", fmt]
+        return run(capsys, *argv)
+
+    def test_json(self, capsys, path):
+        code, out, err = self._run(capsys, path, "json")
+        report = json.loads(out)
+        assert (code, err) == (EXIT_MISMATCH, "")
+        keys = ("m", "method", "sdefect", "witnesses")
+        assert report["results"] == [dict(zip(keys, row)) for row in self.ROWS]
+        assert report["warnings"] == self.WARNINGS
+
+    def test_tsv(self, capsys, path):
+        code, out, err = self._run(capsys, path, "tsv")
+        assert code == EXIT_MISMATCH
+        lines = ["m\tmethod\tsdefect\twitnesses"]
+        lines += ["\t".join(map(str, row)) for row in self.ROWS]
+        assert out == "".join(line + "\n" for line in lines)
+        assert err == "".join(f"# warning: {w}\n" for w in self.WARNINGS)
+
+    def test_pretty(self, capsys, path):
+        code, out, err = self._run(capsys, path, "pretty")
+        assert (code, err) == (EXIT_MISMATCH, "")
+        edges = [[1, 2], [1, 3], [1, 4], [2, 3], [2, 5], [3, 6]]
+        lines = ["# sdefect " + json.dumps({"source": path, "n": 6, "edges": edges})]
+        lines += [f"  m={m}  method={meth}  sdefect={v}  witnesses={w}" for m, meth, v, w in self.ROWS]
+        lines += [f"warning: {w}" for w in self.WARNINGS]
+        assert out == "".join(line + "\n" for line in lines)
+
+
 def test_fit_c5(capsys):
     code, report, _ = run_json(capsys, "fit", "--family", "C5", "--m", "1..10")
     assert code == EXIT_OK
@@ -255,6 +333,21 @@ class TestInputErrors:
         code, out, err = run(capsys, "cover-ideal", "--family", f"K{MAX_VERTICES + 1}")
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith(f"error: {MAX_VERTICES + 1} vertices")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["kn", "--n", "3..3", "--m", "2..3", "--family", "C5"],
+            ["cycle", "--n", "5..5", "--m", "2..3", "--family", "K4"],
+            ["triangle-tail", "--n", "5..5", "--graph", "g.json"],
+        ],
+        ids=["kn", "cycle", "triangle-tail"],
+    )
+    def test_verify_refuses_a_graph_it_does_not_read(self, capsys, argv):
+        # these identities sweep their own graphs over --n
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: verify {argv[0]} ")
 
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")

@@ -110,6 +110,14 @@ def test_is_minimal_mcover_matches_direct_enumeration(connected_atlas):
                 assert got == (exps in minimal), (sorted(G.edges), m, exps)
 
 
+def test_is_minimal_mcover_past_the_generator_cap():
+    # J^(12) of C17 has 27.6M generators; the test reads the edges alone, not J^(m)
+    G, f = cycle(17), Monomial((6,) * 17)
+    assert is_minimal_mcover(G, f, 12)
+    assert not is_minimal_mcover(G, f * Monomial((1,) + (0,) * 16), 12)
+    assert not is_minimal_mcover(G, f, 13)
+
+
 def _intersection_fold(G: Graph, m: int) -> MonomialIdeal:
     """Oracle: J^(m) as the intersection over the edges of (x_i, x_j)^m."""
     result = MonomialIdeal.unit(G.n)
