@@ -25,6 +25,13 @@ class CLIInputError(Exception):
 
 
 class _Parser(argparse.ArgumentParser):
+    """Raises CLIInputError on a bad command line.  It and each of its
+    sub-parsers take no abbreviated option, so `--m` never stands for
+    `--max-gens`."""
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, allow_abbrev=False, **kwargs)
+
     def error(self, message):
         raise CLIInputError(message)
 
@@ -129,13 +136,29 @@ def _graph_desc(args, G: graphs.Graph):
 
 
 def _is_odd_cycle(G: graphs.Graph) -> bool:
-    return G.n % 2 == 1 and G.n >= 3 and G.edges == graphs.cycle(G.n).edges
+    """Whether G is C_n under some labelling: connected, with an odd
+    n >= 3 and every vertex of degree 2.  `sdefect_cycle` reads n alone,
+    as the defect depends only on the isomorphism class."""
+    adj = G.adjacency()
+    if G.n < 3 or G.n % 2 == 0 or any(len(a) != 2 for a in adj):
+        return False
+    seen, todo = {0}, [0]
+    while todo:
+        new = adj[todo.pop()] - seen
+        seen |= new
+        todo += new
+    return len(seen) == G.n
 
 
 def _cmd_sdefect(args):
     G = _load_graph(args)
     lo, hi = _parse_m_range(args.m, G.n)
     methods = args.method
+    odd_cycle = _is_odd_cycle(G)
+    if methods == "cycle" and not odd_cycle:
+        raise CLIInputError(
+            "--method cycle requires an odd cycle: connected, odd n >= 3, every vertex of degree 2"
+        )
     results, warnings = [], []
     mismatch = False
     for m in range(lo, hi + 1):
@@ -153,9 +176,7 @@ def _cmd_sdefect(args):
                 else:
                     reports.append(sdefect.sdefect_recursive(G, m, unchecked=True))
                     warnings.append(f"m={m}: {exc}; formula value reported unchecked")
-        if methods in ("cycle", "all") and (_is_odd_cycle(G) or methods == "cycle"):
-            if not _is_odd_cycle(G):
-                raise CLIInputError("--method cycle requires an odd cycle graph C_n")
+        if methods in ("cycle", "all") and odd_cycle:
             reports.append(sdefect.sdefect_cycle(G.n, m))
         per_method = {}
         for rep in reports:
@@ -234,11 +255,24 @@ def _cmd_classify2(args):
     return _graph_desc(args, G), results, warnings, EXIT_MISMATCH if disagree else EXIT_OK
 
 
+# the options each identity of `verify` reads; it refuses any other
+_VERIFY_READS = {
+    "kn": ("--n", "--m"),
+    "cycle": ("--n", "--m"),
+    "triangle-tail": ("--n",),
+    "decomposition": ("--family", "--graph", "--m"),
+    "classification": ("--family", "--graph"),
+}
+
+
 def _cmd_verify(args):
     identity = args.identity
-    if identity in ("kn", "cycle", "triangle-tail") and (args.family or args.graph):
+    reads = _VERIFY_READS[identity]
+    given = [opt for opt in ("--family", "--graph", "--n", "--m") if getattr(args, opt[2:])]
+    unread = [opt for opt in given if opt not in reads]
+    if unread:
         raise CLIInputError(
-            f"verify {identity} sweeps its own graphs over --n; it reads no --family or --graph"
+            f"verify {identity} reads only {', '.join(reads)}; it reads no {' or '.join(unread)}"
         )
     results = []
     if identity == "kn":

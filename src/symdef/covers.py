@@ -51,10 +51,10 @@ def _elimination_plan(G: Graph) -> tuple[tuple, tuple]:
 
 
 def _row_dtype(m: int) -> np.dtype:
-    """The narrowest signed integer type, int16 at least, that holds 2m:
-    the type of the partial rows of `symbolic_power` and of the cover
-    sums of `_decomposable_covers`."""
-    return np.promote_types(np.int16, np.min_scalar_type(-2 * m - 1))
+    """The narrowest signed integer type that holds 2m, int8 up to
+    m = 63: the type of every row `symbolic_power` and
+    `_decomposable_covers` build, until it becomes a `MonomialIdeal`."""
+    return np.min_scalar_type(-2 * m - 1)
 
 
 def _check_power_range(kind: str, n: int, m: int) -> None:
@@ -104,11 +104,11 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     copies and drops exactly the rows the two rules above name, so the
     partial rows, the cap counts and the output depend on G and m only.
 
-    The partial rows are held in `_row_dtype(m)`, int16 for m < 2^14:
-    e_v and low[u] lie in [0, m] and the tightness test adds two of them,
-    so no value exceeds 2m and the narrow type is exact.  The finished
-    rows are cast to int64 once, so the ideal is the same as ever.  The
-    last 16 (G, m) asked are kept.
+    The rows are held in `_row_dtype(m)`, int8 up to m = 63: e_v and
+    low[u] lie in [0, m] and the tightness test adds two of them, so no
+    value exceeds 2m and the narrow type is exact.  They widen to int64
+    only as they become the ideal, which is the same as ever.  The last
+    16 (G, m) asked are kept.
     """
     n = G.n
     _check_power_range("symbolic", n, m)
@@ -140,16 +140,16 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
                 keep &= ok
         if keep is not None:  # an isolated vertex checks nothing
             state = state[keep]
-    return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n].astype(np.int64))[0])
+    return MonomialIdeal._from_minimal(n, _distinct_rows(state[:, :n])[0].astype(np.int64))
 
 
 def _minimal_cover_rows(G: Graph, rows: np.ndarray, m: int) -> np.ndarray:
-    """Which rows are minimal vertex m-covers of G: the rows e with
-    e_v = max(0, m - min of e over N(v)) at every vertex v
-    (Herzog-Hibi-Trung), as a boolean mask."""
+    """Which rows are minimal vertex m-covers of G, as a boolean mask:
+    e_v = max(0, m - min of e over N(v)) at every v (Herzog-Hibi-Trung),
+    that is e_v + min(m, e over N(v)) == m, the test of `symbolic_power`."""
     ok = np.ones(len(rows), dtype=bool)
     for v, cols in enumerate(_elimination_plan(G)[0]):
-        ok &= rows[:, v] == np.maximum(0, m - rows[:, cols].min(axis=1, initial=m))
+        ok &= rows[:, v] + rows[:, cols].min(axis=1, initial=m) == m
     return ok
 
 
@@ -182,9 +182,9 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     and extended one at a time; before a level is formed, the rows the
     chain holds and then its pairs count against the generator cap.
 
-    The sums are held in `_row_dtype(m)`: a minimal (m-1)-cover plus a
-    0/1 cover has entries at most m, and `_minimal_cover_rows` computes
-    nothing larger.  Only the rows that pass are cast back to int64.
+    Level k is held in `_row_dtype(k)`: a minimal (k-1)-cover plus a
+    0/1 cover has entries at most k, and `_minimal_cover_rows` adds two
+    of them.  The levels stay narrow; none becomes an ideal.
     """
     chain = _cover_sum_chains(G, base)
     for k in range(len(chain), m + 1):
@@ -208,7 +208,7 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
             kept.append(cand[ok])
             tops.append(j[ok])
         del pair, j, cand, ok  # the level's dedup needs only the kept rows
-        kept = np.concatenate(kept, dtype=np.int64)
+        kept = np.concatenate(kept)
         out, *_, first = _distinct_rows(kept)
         chain.append((out, np.concatenate(tops)[first]))
     return chain[m]
@@ -218,8 +218,8 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
 def _cover_sum_chains(G: Graph, base: MonomialIdeal) -> list[tuple[np.ndarray, np.ndarray]]:
     """(D_0, last), (D_1, last), ... of G and base, as far as
     `_decomposable_covers` has built them; only a few chains are kept."""
-    empty = np.zeros((1, G.n), dtype=np.int64), np.zeros(1, dtype=np.intp)
-    return [empty, (base._arr, np.arange(len(base)))]
+    empty = np.zeros((1, G.n), dtype=_row_dtype(0)), np.zeros(1, dtype=np.intp)
+    return [empty, (base._arr.astype(_row_dtype(1)), np.arange(len(base)))]
 
 
 def ordinary_power(G: Graph, m: int) -> MonomialIdeal:

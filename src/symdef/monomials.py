@@ -183,7 +183,7 @@ def _check_exponent_bound(max_exponent: int, n: int) -> None:
 
 
 def _pack(arr: np.ndarray) -> tuple[np.ndarray, np.uint64]:
-    """Pack the rows of a non-negative int64 array into uint64 words.
+    """Pack the rows of a non-negative integer array into uint64 words.
 
     Each exponent takes a field of bits = bit_length(max) + 1 bits, the
     value in the low bits and a guard in the top bit; a word holds
@@ -197,9 +197,9 @@ def _pack(arr: np.ndarray) -> tuple[np.ndarray, np.uint64]:
     bits = int(arr.max(initial=0)).bit_length() + 1
     per_word = 64 // bits
     words = np.zeros((max(1, -(-n // per_word)), rows), dtype=np.uint64)
-    cols = arr.view(np.uint64)
     for j in range(n):
-        words[j // per_word] |= cols[:, j] << np.uint64((per_word - 1 - j % per_word) * bits)
+        shift = np.uint64((per_word - 1 - j % per_word) * bits)
+        words[j // per_word] |= np.left_shift(arr[:, j], shift, dtype=np.uint64, casting="unsafe")
     ones = ((1 << per_word * bits) - 1) // ((1 << bits) - 1)
     return words, np.uint64(ones << (bits - 1))
 

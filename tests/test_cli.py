@@ -273,6 +273,28 @@ def test_verify_cycle_c9_agrees(capsys):
     assert rows == [(102, 102, True), (226, 226, True)]
 
 
+def test_cycle_method_reads_the_structure_not_the_labels(capsys, tmp_path):
+    # C7 under the labels 1 4 2 6 3 7 5 around the cycle
+    order = [0, 3, 1, 5, 2, 6, 4]
+    relabeled = tmp_path / "c7.json"
+    relabeled.write_text(Graph.from_edges(7, zip(order, order[1:] + order[:1])).to_json())
+    for method in ("cycle", "all"):
+        argv = ["sdefect", "--graph", str(relabeled), "--m", "4", "--method", method]
+        code, report, _ = run_json(capsys, *argv)
+        rows = {r["method"]: r["sdefect"] for r in report["results"]}
+        assert code == EXIT_OK and rows["cycle-recursion"] == 22
+    assert rows["brute"] == 22
+    # three disjoint triangles: odd n and every degree 2, but not connected
+    triangles = tmp_path / "3c3.json"
+    edges = [(a + i, a + (i + 1) % 3) for a in (0, 3, 6) for i in range(3)]
+    triangles.write_text(Graph.from_edges(9, edges).to_json())
+    argv = ["sdefect", "--graph", str(triangles), "--m", "2", "--method"]
+    code, out, err = run(capsys, *argv, "cycle")
+    assert (code, out) == (EXIT_INPUT, "") and "connected" in err
+    code, report, _ = run_json(capsys, *argv, "all")
+    assert code == EXIT_OK and "cycle-recursion" not in {r["method"] for r in report["results"]}
+
+
 def test_graph_from_json_file(capsys, tmp_path):
     f = tmp_path / "g.json"
     f.write_text(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]).to_json())
@@ -348,6 +370,35 @@ class TestInputErrors:
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert err.startswith(f"error: verify {argv[0]} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["triangle-tail", "--n", "5..5", "--m", "2..3"],
+            ["decomposition", "--family", "C5", "--n", "9..9", "--m", "3..3"],
+            ["classification", "--family", "C5", "--n", "9..9", "--m", "7"],
+        ],
+        ids=["triangle-tail", "decomposition", "classification"],
+    )
+    def test_verify_refuses_a_range_it_does_not_read(self, capsys, argv):
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith(f"error: verify {argv[0]} ")
+
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            ["waldschmidt", "--family", "C9", "--m", "3"],
+            ["cover-ideal", "--family", "C5", "--m", "100"],
+            ["classify2", "--family", "C5", "--m", "3"],
+        ],
+        ids=["waldschmidt", "cover-ideal", "classify2"],
+    )
+    def test_no_option_is_abbreviated(self, capsys, argv):
+        # these commands read no --m, and it is not taken for --max-gens
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert "unrecognized arguments: --m" in err
 
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")

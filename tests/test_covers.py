@@ -238,9 +238,9 @@ def test_symbolic_power_peak_memory():
 
 
 def test_symbolic_power_peak_memory_in_narrow_rows():
-    # the partial rows are int16 at this m: a 39.5 MB peak measured, where
-    # int64 rows peaked at 142.2 MB
-    assert _row_dtype(6) == np.int16
+    # the rows are int8 at this m, also as they are sorted and deduplicated:
+    # a 25.1 MB peak measured, where int64 rows peaked at 142.2 MB
+    assert _row_dtype(6) == np.int8
     tracemalloc.start()
     try:
         with generator_cap(10_000_000):
@@ -260,6 +260,37 @@ def test_row_type_holds_twice_m_across_the_int16_boundary(m):
     # the one partial row is never copied
     J = symbolic_power.__wrapped__(Graph.from_edges(2, []), m)
     assert J.is_unit() and J._arr.dtype == np.int64
+
+
+def test_row_type_is_int8_up_to_m_63():
+    # 2m = 126 fits int8 at m = 63; 2m = 128 does not at m = 64
+    assert (_row_dtype(63), _row_dtype(64)) == (np.int8, np.int16)
+
+
+@pytest.mark.parametrize("m", [63, 64])
+def test_symbolic_powers_across_the_int8_boundary(m):
+    # J(P2)^(m) = (x1, x2)^m: x2 is closed, and the tightness test at x1
+    # adds e + low up to 2m
+    J = symbolic_power.__wrapped__(path(2), m)
+    assert J == MonomialIdeal(2, [(a, m - a) for a in range(m + 1)])
+    assert J._arr.dtype == np.int64
+    # K3 copies rows at two vertices and checks both rules: the oracle
+    # searches all of {0..m}^3 in Python ints
+    K3 = complete(3)
+    assert symbolic_power.__wrapped__(K3, m).gens == enumerate_minimal_mcovers(K3, m)
+
+
+@pytest.mark.parametrize("G", [path(2), complete(3)], ids=["P2", "K3"])
+def test_chain_levels_across_the_int8_boundary(G):
+    # every level up to m = 64 by the full product, in int64; levels 63
+    # and 64 are held in int8 and int16
+    _cover_sum_chains.cache_clear()
+    base, prev = cover_ideal(G), np.zeros((1, G.n), dtype=np.int64)
+    for m in range(1, 65):
+        expected = _full_product_level(G, prev, base, m)
+        D, last = _decomposable_covers(G, m, base)
+        assert np.array_equal(D, expected) and D.dtype == _row_dtype(m), m
+        prev = expected
 
 
 def test_symbolic_power_refuses_m_past_the_row_bound():
@@ -287,7 +318,7 @@ def test_path_symbolic_powers_in_narrow_rows():
         _cover_sum_chains.cache_clear()
         for m in range(5):
             D, _ = _decomposable_covers(G, m, cover_ideal(G))
-            assert D.dtype == np.int64, (sorted(G.edges), m)
+            assert D.dtype == _row_dtype(m), (sorted(G.edges), m)
 
 
 def test_closed_vertex_takes_its_forced_exponent_without_copies():
@@ -525,7 +556,7 @@ def test_chain_levels_match_the_full_product(connected_atlas):
             expected = _full_product_level(G, prev, base, m)
             D, last = _decomposable_covers(G, m, base)
             assert np.array_equal(D, expected), (sorted(G.edges), m)
-            assert D.dtype == np.int64 and last.shape == (len(D),)
+            assert D.dtype == _row_dtype(m) and last.shape == (len(D),)
             prev = expected
 
 
