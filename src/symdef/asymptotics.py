@@ -175,8 +175,9 @@ class WaldschmidtReport:
 
 
 def resurgence_lower_bound(G: Graph) -> Fraction:
-    """Two-case lower bound on the resurgence for graphs with a unique
-    extra 2-cover generator."""
+    """Two-case lower bound on the resurgence for graphs whose only extra
+    2-cover generator is the product of all variables
+    (`has_unique_extra_2cover`)."""
     if not has_unique_extra_2cover(G):
         raise PreconditionError(UNIQUE_EXTRA_2COVER)
     a = cover_ideal(G).alpha()

@@ -201,8 +201,8 @@ def _cmd_waldschmidt(args):
             "resurgence_lower_bound": rep.resurgence_lower_bound,
         }
     ]
-    skipped = rep.resurgence_lower_bound is None
-    warnings = ["resurgence bound skipped: sdefect(J(G),2) != 1"] if skipped else []
+    reason = f"hypothesis failed: {sdefect.UNIQUE_EXTRA_2COVER}"
+    warnings = [f"resurgence bound skipped: {reason}"] if rep.resurgence_lower_bound is None else []
     return _graph_desc(args, G), results, warnings, EXIT_OK
 
 

@@ -287,8 +287,7 @@ class Cover2Classification:
     kind "all_ones": the product of all variables of a non-bipartite
     graph.  kind "szt": the (S, T, U) pattern where S holds the
     exponent-0 vertices, T = N(S) the exponent-2 vertices, and U the
-    exponent-1 vertices inducing a non-bipartite subgraph without
-    isolated vertices.
+    exponent-1 vertices, which induce a non-bipartite subgraph.
     """
 
     kind: str
@@ -296,42 +295,31 @@ class Cover2Classification:
     T: tuple[int, ...] = ()
     U: tuple[int, ...] = ()
 
-    @property
-    def s(self) -> int:
-        return len(self.S)
-
-    @property
-    def t(self) -> int:
-        return len(self.T)
-
-    @property
-    def u(self) -> int:
-        return len(self.U)
-
 
 def classify_indecomposable_2cover(G: Graph, f: Monomial) -> Cover2Classification | None:
     """Classify a minimal 2-cover as indecomposable (with its shape) or
     return None when it decomposes into two 1-covers.
 
+    Let S, T, U hold the vertices of exponent 0, 2, 1.  By the equation
+    e_v = max(0, 2 - min of e over N(v)), every neighbour of S lies in T,
+    each vertex of T has one in S, and each vertex of U has one in U and
+    none in S; so T = N(S).  f lies in J^2 iff G[U] is bipartite.  With
+    sides A and B, f = (T + A) + (T + B), two vertex covers.  If f is a
+    sum c + c' of vertex covers (a product of two that divides f is a
+    2-cover below f, so equals it), each edge of G[U] has one end in c
+    and the other in c', so c 2-colours G[U].  U = V is kind "all_ones".
+
     Raises ValueError if f is not a minimal 2-cover of G.
     """
     if not is_minimal_mcover(G, f, 2):
         raise ValueError(f"{f} is not a minimal 2-cover of the graph")
-    if all(e == 1 for e in f.exps):
-        return Cover2Classification("all_ones") if not G.is_bipartite() else None
+    U = tuple(i for i, e in enumerate(f.exps) if e == 1)
+    if G.induced_subgraph(U).is_bipartite():
+        return None
+    if len(U) == G.n:
+        return Cover2Classification("all_ones")
     S = tuple(i for i, e in enumerate(f.exps) if e == 0)
     T = tuple(i for i, e in enumerate(f.exps) if e == 2)
-    U = tuple(i for i, e in enumerate(f.exps) if e == 1)
-    if not U:
-        return None
-    if set(T) != G.neighbors_of_set(S):
-        return None
-    # prod(T) must not be a vertex cover
-    if all(i in T or j in T for i, j in G.edges):
-        return None
-    induced = G.induced_subgraph(U)
-    if induced.has_isolated_vertex() or induced.is_bipartite():
-        return None
     return Cover2Classification("szt", S=S, T=T, U=U)
 
 

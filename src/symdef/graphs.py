@@ -57,25 +57,12 @@ class Graph:
     def edge_list(self) -> list[tuple[int, int]]:
         return sorted(self.edges)
 
-    def neighbors(self, v: int) -> set[int]:
-        return {j if i == v else i for i, j in self.edges if v in (i, j)}
-
     def adjacency(self) -> list[set[int]]:
         adj: list[set[int]] = [set() for _ in range(self.n)]
         for i, j in self.edges:
             adj[i].add(j)
             adj[j].add(i)
         return adj
-
-    def has_isolated_vertex(self) -> bool:
-        covered = {v for e in self.edges for v in e}
-        return len(covered) < self.n
-
-    def neighbors_of_set(self, vertices: Iterable[int]) -> set[int]:
-        out: set[int] = set()
-        for v in vertices:
-            out |= self.neighbors(v)
-        return out
 
     def induced_subgraph(self, vertices: Iterable[int]) -> "Graph":
         """Subgraph on the given vertices, reindexed in ascending order."""

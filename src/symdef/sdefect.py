@@ -1,6 +1,6 @@
 """Symbolic-defect computation: brute force, the recursive formula for
-graphs with a unique extra 2-cover generator, the odd-cycle recursion,
-and indecomposability checks."""
+graphs whose only extra 2-cover generator is the product of all
+variables, the odd-cycle recursion, and indecomposability checks."""
 from __future__ import annotations
 
 from dataclasses import dataclass, field
@@ -22,7 +22,7 @@ from .monomials import (
 )
 
 # hypothesis of the recursion, the resurgence bound and the degree prediction
-UNIQUE_EXTRA_2COVER = "sdefect(J(G), 2) == 1"
+UNIQUE_EXTRA_2COVER = "the product of all variables is the only extra generator of J(G)^(2)"
 
 
 class PreconditionError(ValueError):
@@ -202,8 +202,22 @@ def check_indecomposability_exhaustive(
 
 
 def has_unique_extra_2cover(G: Graph) -> bool:
-    """sdefect(J(G), 2) == 1, by brute force."""
-    return sdefect_brute(G, 2).value == 1
+    """Whether the product F of all variables is the only generator of
+    J(G)^(2) outside J(G)^2: G is not bipartite and every G - N[v] is
+    (`Graph.every_vertex_adjacent_to_every_odd_cycle`).  J^(2) is not built.
+
+    A minimal 2-cover lies outside J^2 iff its exponent-1 vertices U
+    induce a non-bipartite graph (`covers.classify_indecomposable_2cover`).
+    F, with U = V, does iff G is not bipartite and has no isolated vertex.
+    Any other has some v of exponent 0 (with none, T = N(S) is empty and
+    it is F), and its U lies in G - N[v].
+    Conversely, if G - N[v] has an odd cycle, put v in S, N(v) in T and
+    the rest in U, then move into S each vertex of U left with no
+    neighbour in U: the cycle stays in U, and this is a second extra
+    2-cover.  An isolated w fails at v = w, as G - N[w] = G - w is not
+    bipartite; F is then not a minimal 2-cover.
+    """
+    return not G.is_bipartite() and G.every_vertex_adjacent_to_every_odd_cycle()
 
 
 def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectReport:
@@ -216,7 +230,8 @@ def sdefect_recursive(G: Graph, m: int, unchecked: bool = False) -> SdefectRepor
     F, over k = m mod 2, m mod 2 + 2, ..., m - 2 (nu(J, 0, F) = 1 gives
     sdefect(2) = 1).  Each J^k is read from the power chain of J.
 
-    Preconditions (checked unless `unchecked`): sdefect(J(G), 2) == 1 and
+    Preconditions: F is the only extra generator of J(G)^(2)
+    (`has_unique_extra_2cover`, always checked) and, unless `unchecked`,
     indecomposability evidence, either one of the three sufficient
     generator-shape conditions or the exhaustive check of every product
     F^k g_1 ... g_s with 2k + s <= m.  With `unchecked`, the value

@@ -54,3 +54,10 @@ def two_triangles() -> Graph:
 def tripod_triangle() -> Graph:
     # triangle x1 x2 x3 with a pendant vertex hanging off each corner
     return Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (0, 3), (1, 4), (2, 5)])
+
+
+@pytest.fixture(scope="session")
+def triangle_plus_isolated() -> Graph:
+    # triangle x1 x2 x3 and an isolated x4: the one extra generator of
+    # J^(2) is x1x2x3, not the product of all four variables
+    return Graph.from_edges(4, [(0, 1), (1, 2), (0, 2)])

@@ -142,6 +142,12 @@ class TestResurgenceBound:
         with pytest.raises(PreconditionError):
             resurgence_lower_bound(cycle(4))
 
+    def test_refused_when_the_extra_generator_is_not_all_ones(self, triangle_plus_isolated):
+        with pytest.raises(PreconditionError):
+            resurgence_lower_bound(triangle_plus_isolated)
+        rep = waldschmidt(triangle_plus_isolated)
+        assert rep.value == Fraction(3, 2) and rep.resurgence_lower_bound is None
+
 
 class TestGrowth:
     def test_principal_ideal(self):
@@ -236,6 +242,7 @@ class TestSdefectDegree:
         rep = sdefect_degree(two_triangles)
         assert rep.degree == 2 and rep.agrees
 
-    def test_hypothesis_checked(self):
-        with pytest.raises(PreconditionError):
-            sdefect_degree(cycle(6))
+    def test_hypothesis_checked(self, triangle_plus_isolated):
+        for G in (cycle(6), triangle_plus_isolated):
+            with pytest.raises(PreconditionError):
+                sdefect_degree(G)

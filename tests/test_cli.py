@@ -295,6 +295,39 @@ def test_cycle_method_reads_the_structure_not_the_labels(capsys, tmp_path):
     assert code == EXIT_OK and "cycle-recursion" not in {r["method"] for r in report["results"]}
 
 
+class TestTrianglePlusIsolatedVertex:
+    """The one extra generator of J^(2) is x1x2x3, not x1x2x3x4, so the
+    recursion, which counts from x1x2x3x4, is refused at every m."""
+
+    SKIPPED = f"hypothesis failed: {sdefect.UNIQUE_EXTRA_2COVER}"
+
+    @pytest.fixture
+    def path(self, tmp_path, triangle_plus_isolated):
+        f = tmp_path / "triangle_plus_isolated.json"
+        f.write_text(triangle_plus_isolated.to_json())
+        return str(f)
+
+    def test_recursion_is_refused(self, capsys, path):
+        code, out, err = run(capsys, "sdefect", "--graph", path, "--m", "4", "--method", "recursion")
+        assert (code, out, err) == (EXIT_INPUT, "", f"error: {self.SKIPPED}\n")
+
+    def test_all_reports_brute_rows_only(self, capsys, path):
+        code, report, err = run_json(capsys, "sdefect", "--graph", path, "--m", "2..5", "--method", "all")
+        assert (code, err) == (EXIT_OK, "")
+        assert report["results"] == [
+            {"m": m, "method": "brute", "sdefect": v, "witnesses": v}
+            for m, v in zip(range(2, 6), (1, 3, 4, 6))
+        ]
+        assert report["warnings"] == [f"m={m}: recursion skipped: {self.SKIPPED}" for m in range(2, 6)]
+
+    def test_waldschmidt_skips_the_resurgence_bound(self, capsys, path):
+        code, report, err = run_json(capsys, "waldschmidt", "--graph", path)
+        assert (code, err) == (EXIT_OK, "")
+        row = report["results"][0]
+        assert (row["waldschmidt"], row["resurgence_lower_bound"]) == ("3/2", None)
+        assert report["warnings"] == [f"resurgence bound skipped: {self.SKIPPED}"]
+
+
 def test_graph_from_json_file(capsys, tmp_path):
     f = tmp_path / "g.json"
     f.write_text(Graph.from_edges(3, [(0, 1), (1, 2), (0, 2)]).to_json())
@@ -399,6 +432,21 @@ class TestInputErrors:
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
         assert "unrecognized arguments: --m" in err
+
+    @pytest.mark.parametrize(
+        "argv, message",
+        [
+            (["sdefect", "--family", "C5", "--m", "0..3"], "m range must start at 1 or above"),
+            (["fit", "--family", "C5", "--m", "1..3"], "no quasi-polynomial fit"),
+            (["fit", "--family", "C5", "--m", "1..8", "--period", "0"], "period must be positive"),
+            (["waldschmidt", "--family", "P1"], "at least one edge"),
+        ],
+        ids=["sdefect-m-zero", "fit-too-short", "fit-period-zero", "waldschmidt-edgeless"],
+    )
+    def test_refusal_message(self, capsys, argv, message):
+        code, out, err = run(capsys, *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err.startswith("error: ") and message in err
 
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")

@@ -36,13 +36,6 @@ def test_edges_normalized():
     assert G.edge_list() == [(0, 1), (0, 2)]
 
 
-def test_neighbors():
-    assert cycle(5).neighbors(0) == {1, 4}
-    assert complete(4).neighbors(0) == {1, 2, 3}
-    assert cycle(5).neighbors_of_set([]) == set()
-    assert cycle(5).neighbors_of_set([0]) == {1, 4}
-
-
 def test_induced_subgraph():
     tri = complete(4).induced_subgraph([1, 2, 3])
     assert tri.n == 3 and tri.edges == complete(3).edges
@@ -50,12 +43,6 @@ def test_induced_subgraph():
     assert p.edges == path(3).edges
     empty = cycle(5).induced_subgraph([])
     assert empty.n == 0 and not empty.edges
-
-
-def test_isolated_vertex():
-    assert not complete(3).has_isolated_vertex()
-    assert Graph.from_edges(1, []).has_isolated_vertex()
-    assert Graph.from_edges(4, [(0, 1), (1, 2)]).has_isolated_vertex()
 
 
 def test_bipartiteness():

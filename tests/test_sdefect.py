@@ -2,6 +2,7 @@
 triangle tails, indecomposability evidence."""
 import random
 import tracemalloc
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -333,6 +334,38 @@ class TestRecursion:
         assert formula.value == 4
         assert sdefect_brute(tripod_triangle, 3).value == 3
 
+    def test_rejects_an_extra_generator_other_than_all_ones(self, triangle_plus_isolated):
+        # sdefect(J, 2) = 1, but the extra generator is x1x2x3: the formula
+        # would give 7 at m = 4, where the brute count is 4
+        assert sdefect_brute(triangle_plus_isolated, 2).witnesses == (Monomial((1, 1, 1, 0)),)
+        assert sdefect_brute(triangle_plus_isolated, 4).value == 4
+        for unchecked in (False, True):
+            with pytest.raises(PreconditionError) as exc:
+                sdefect_recursive(triangle_plus_isolated, 4, unchecked=unchecked)
+            assert exc.value.hypothesis == sdefect_module.UNIQUE_EXTRA_2COVER
+
+    def test_matches_brute_on_the_connected_atlas(self, connected_atlas):
+        # m = 3..6 on the 143 connected graphs with at most 6 vertices; they
+        # reach condition 3 and the three-degree branch of
+        # check_indecomposability_conditions as well as the exhaustive check
+        outcomes = Counter()
+        for G in connected_atlas:
+            for m in range(3, 7):
+                try:
+                    rep = sdefect_recursive(G, m)
+                except PreconditionError as exc:
+                    unique = exc.hypothesis == sdefect_module.UNIQUE_EXTRA_2COVER
+                    outcomes["refused: " + ("2-cover" if unique else "indecomposability")] += 1
+                    continue
+                outcomes[rep.method] += 1
+                assert rep.value == sdefect_brute(G, m).value, (sorted(G.edges), m)
+        assert outcomes == {
+            "recursion": 188,
+            "recursion(exhaustive-check)": 72,
+            "refused: 2-cover": 308,
+            "refused: indecomposability": 4,
+        }
+
 
 class TestIndecomposabilityEvidence:
     def test_complete_graphs_hit_equal_degree_condition(self):
@@ -341,6 +374,17 @@ class TestIndecomposabilityEvidence:
 
     def test_c5_hits_equal_degree_condition(self):
         assert check_indecomposability_conditions(cycle(5)).condition == 1
+
+    def test_k4_minus_an_edge_hits_the_shared_variables_condition(self):
+        # the covers of degree 3 all hold x3 and x4, the one of degree 2 neither
+        G = Graph.from_edges(4, [e for e in complete(4).edges if e != (2, 3)])
+        cert = check_indecomposability_conditions(G)
+        assert (cert.condition, cert.alphas, cert.variables) == (3, (2, 3), (2, 3))
+
+    def test_three_cover_degrees_give_no_condition(self):
+        G = Graph.from_edges(5, [(0, 1), (1, 2), (1, 3), (1, 4), (2, 3), (2, 4)])
+        cert = check_indecomposability_conditions(G)
+        assert (cert.condition, cert.alphas) == (None, (2, 3, 4))
 
     def test_tripod_triangle_has_counterexample(self, tripod_triangle):
         assert check_indecomposability_conditions(tripod_triangle).condition is None
@@ -480,7 +524,22 @@ class TestTriangleTail:
             verify_triangle_tail(4)
 
 
-def test_has_unique_extra_2cover():
+def test_has_unique_extra_2cover(triangle_plus_isolated):
     assert has_unique_extra_2cover(complete(3))
     assert has_unique_extra_2cover(cycle(5))
     assert not has_unique_extra_2cover(cycle(4))
+    assert not has_unique_extra_2cover(triangle_plus_isolated)
+
+
+def test_has_unique_extra_2cover_matches_brute_on_the_atlas():
+    # every graph with 1-7 vertices, connected or not: the structural test
+    # holds iff the one generator of J^(2) outside J^2 is all_ones
+    import networkx as nx
+
+    for H in nx.graph_atlas_g():
+        n = H.number_of_nodes()
+        if not 1 <= n <= 7:
+            continue
+        G = Graph.from_edges(n, H.edges())
+        brute = sdefect_brute(G, 2).witnesses == (all_ones(n),)
+        assert has_unique_extra_2cover(G) == brute, sorted(G.edges)
