@@ -58,26 +58,28 @@ def _poly_str(p: Poly, var: str = "m") -> str:
     return " ".join(terms)
 
 
-def _lagrange(points: Sequence[tuple[int, int]]) -> Poly:
-    """Exact interpolating polynomial through the given (m, value) points."""
+def _row_reduce(rows: Sequence[Sequence]) -> list[list[Fraction]]:
+    """The nonzero rows of the reduced row echelon form of `rows` over Q,
+    in pivot order."""
+    rows = [[Fraction(x) for x in row] for row in rows]
+    rank = 0
+    for col in range(len(rows[0]) if rows else 0):
+        at = next((i for i in range(rank, len(rows)) if rows[i][col]), None)
+        if at is not None:
+            # the rows from `rank` on, `lead` among them, are 0 left of col
+            lead = rows.pop(at)
+            tail = [x / lead[col] for x in lead[col:]]
+            rows = [r[:col] + [a - r[col] * b for a, b in zip(r[col:], tail)] for r in rows]
+            rows.insert(rank, lead[:col] + tail)
+            rank += 1
+    return rows[:rank]
+
+
+def _interpolate(points: Sequence[tuple[int, int]]) -> Poly:
+    """Exact interpolating polynomial through the given (m, value) points,
+    read off the reduced Vandermonde system [m^0 ... m^(k-1) | value]."""
     k = len(points)
-    coeffs = [Fraction(0)] * k
-    for i, (xi, yi) in enumerate(points):
-        basis = [Fraction(1)]
-        denom = Fraction(1)
-        for j, (xj, _) in enumerate(points):
-            if j == i:
-                continue
-            denom *= xi - xj
-            # multiply basis by (x - xj)
-            new = [Fraction(0)] * (len(basis) + 1)
-            for d, c in enumerate(basis):
-                new[d] -= c * xj
-                new[d + 1] += c
-            basis = new
-        scale = Fraction(yi) / denom
-        for d, c in enumerate(basis):
-            coeffs[d] += c * scale
+    coeffs = [row[-1] for row in _row_reduce([[m**d for d in range(k)] + [v] for m, v in points])]
     while len(coeffs) > 1 and not coeffs[-1]:
         coeffs.pop()
     return tuple(coeffs)
@@ -115,18 +117,14 @@ def _fit_class(points: list[tuple[int, int]]) -> tuple[Poly, int, int]:
     the last D+1 points also reproduces the point before them.
     """
     for D in range(0, len(points) - 1):
-        poly = _lagrange(points[-(D + 1):])
+        poly = _interpolate(points[-(D + 1):])
         if _poly_eval(poly, points[-(D + 2)][0]) != points[-(D + 2)][1]:
             continue
-        # walk backwards to the earliest sample the tail polynomial explains
-        first_bad = -1
-        for idx in range(len(points) - 1, -1, -1):
-            if _poly_eval(poly, points[idx][0]) != points[idx][1]:
-                first_bad = idx
-                break
+        # the last sample the tail polynomial misses; it explains all after it
+        misses = [i for i, (m, v) in enumerate(points) if _poly_eval(poly, m) != v]
+        first_bad = misses[-1] if misses else -1
+        # poly matches the last D + 2 points, so matched >= D + 2
         matched = len(points) - 1 - first_bad
-        if matched < D + 2:
-            continue  # not enough stabilized tail to trust this degree
         onset = None if first_bad < 0 else points[first_bad][0] + 1
         return poly, onset, matched
     raise NoFitError(
@@ -195,13 +193,13 @@ def waldschmidt(G: Graph) -> WaldschmidtReport:
     min over m <= n_gen of alpha(I^(m))/m.  The symbolic Rees algebra of
     a cover ideal is generated in degree <= 2 (Herzog-Hibi-Trung, Adv.
     Math. 210 (2007)), so the constant is min(alpha(J), alpha(J^(2))/2),
-    which is alpha(J^(2))/2."""
+    which is alpha(J^(2))/2: J^2 lies in J^(2), so alpha(J^(2)) <= 2
+    alpha(J).  The minimum is reached at m = 1 iff equality holds."""
     if not G.edges:
         raise ValueError("waldschmidt needs a graph with at least one edge")
     alphas = (cover_ideal(G).alpha(), symbolic_power(G, 2).alpha())
-    ratios = [Fraction(a, m) for m, a in enumerate(alphas, start=1)]
-    value = min(ratios)
-    c = ratios.index(value) + 1
+    c = 1 if alphas[1] == 2 * alphas[0] else 2
+    value = Fraction(alphas[1], 2)
     try:
         bound = resurgence_lower_bound(G)
     except PreconditionError:
@@ -251,28 +249,7 @@ def jacobian_rank_full(gens: Sequence[Monomial]) -> bool:
             raise ValueError(f"generator {g} is not squarefree")
     if len(gens) > n:
         return False
-    return _rank([[Fraction(e) for e in g.exps] for g in gens]) == len(gens)
-
-
-def _rank(matrix: list[list[Fraction]]) -> int:
-    rows = [row[:] for row in matrix]
-    cols = len(rows[0]) if rows else 0
-    rank = 0
-    pivot_col = 0
-    while rank < len(rows) and pivot_col < cols:
-        pivot = next((r for r in range(rank, len(rows)) if rows[r][pivot_col]), None)
-        if pivot is None:
-            pivot_col += 1
-            continue
-        rows[rank], rows[pivot] = rows[pivot], rows[rank]
-        lead = rows[rank][pivot_col]
-        for r in range(rank + 1, len(rows)):
-            if rows[r][pivot_col]:
-                factor = rows[r][pivot_col] / lead
-                rows[r] = [a - factor * b for a, b in zip(rows[r], rows[rank])]
-        rank += 1
-        pivot_col += 1
-    return rank
+    return len(_row_reduce([g.exps for g in gens])) == len(gens)
 
 
 @dataclass(frozen=True)

@@ -57,10 +57,7 @@ def _parse_m_range(text: str, n: int) -> tuple[int, int]:
 
 def _load_graph(args) -> graphs.Graph:
     if getattr(args, "family", None):
-        try:
-            return graphs.parse_family(args.family)
-        except ValueError as exc:
-            raise CLIInputError(str(exc)) from exc
+        return graphs.parse_family(args.family)
     path = getattr(args, "graph", None)
     if not path:
         raise CLIInputError("one graph source is required: --family or --graph")
@@ -102,6 +99,8 @@ def _emit(args, input_desc, results, warnings, started) -> None:
 
 
 def _fmt_cell(v):
+    if isinstance(v, dict):
+        return json.dumps(v, default=_as_text)
     if isinstance(v, list):
         return "[" + ",".join(str(x) for x in v) + "]"
     return str(v)
@@ -138,16 +137,12 @@ def _graph_desc(args, G: graphs.Graph):
 def _is_odd_cycle(G: graphs.Graph) -> bool:
     """Whether G is C_n under some labelling: connected, with an odd
     n >= 3 and every vertex of degree 2.  `sdefect_cycle` reads n alone,
-    as the defect depends only on the isomorphism class."""
-    adj = G.adjacency()
-    if G.n < 3 or G.n % 2 == 0 or any(len(a) != 2 for a in adj):
-        return False
-    seen, todo = {0}, [0]
-    while todo:
-        new = adj[todo.pop()] - seen
-        seen |= new
-        todo += new
-    return len(seen) == G.n
+    as the defect depends only on the isomorphism class.  With every
+    degree 2, G is a disjoint union of cycles.  `has_unique_extra_2cover`
+    needs an odd cycle C and every vertex adjacent to C; a vertex on
+    another component is adjacent to no vertex of C, and a single odd
+    cycle passes, as each G - N[v] is a path."""
+    return all(len(a) == 2 for a in G.adjacency()) and sdefect.has_unique_extra_2cover(G)
 
 
 def _cmd_sdefect(args):
@@ -170,7 +165,7 @@ def _cmd_sdefect(args):
                 reports.append(sdefect.sdefect_recursive(G, m))
             except sdefect.PreconditionError as exc:
                 if methods == "recursion":
-                    raise CLIInputError(str(exc)) from exc
+                    raise
                 if exc.hypothesis == sdefect.UNIQUE_EXTRA_2COVER:
                     warnings.append(f"m={m}: recursion skipped: {exc}")
                 else:
@@ -210,8 +205,9 @@ def _cmd_fit(args):
     G = _load_graph(args)
     lo, hi = _parse_m_range(args.m, G.n)
     seq = [sdefect.sdefect_brute(G, m).value for m in range(lo, hi + 1)]
+    # the symbolic Rees algebra of J(G) is generated in degree <= 2, so the period divides 2
     try:
-        qp = asymptotics.fit_quasipolynomial(seq, start=lo, period=args.period)
+        qp = asymptotics.fit_quasipolynomial(seq, start=lo, period=2)
     except asymptotics.NoFitError as exc:
         raise CLIInputError(f"no quasi-polynomial fit: {exc}") from exc
     results = [
@@ -378,7 +374,6 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("fit", help="quasi-polynomial fit of the sdefect sequence")
     _add_common(p, needs_m=True)
-    p.add_argument("--period", type=int, default=2)
     p.set_defaults(func=_cmd_fit)
 
     p = sub.add_parser("classify2", help="classify all minimal 2-covers")

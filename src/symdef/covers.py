@@ -284,16 +284,15 @@ def is_minimal_mcover(G: Graph, f: Monomial, m: int) -> bool:
 class Cover2Classification:
     """Shape of an indecomposable minimal 2-cover.
 
-    kind "all_ones": the product of all variables of a non-bipartite
-    graph.  kind "szt": the (S, T, U) pattern where S holds the
-    exponent-0 vertices, T = N(S) the exponent-2 vertices, and U the
-    exponent-1 vertices, which induce a non-bipartite subgraph.
+    S, T = N(S) and U hold the vertices of exponent 0, 2 and 1; U induces
+    a non-bipartite subgraph.  kind "all_ones": the product of all
+    variables, with U every vertex and S, T empty.  kind "szt": any other.
     """
 
     kind: str
-    S: tuple[int, ...] = ()
-    T: tuple[int, ...] = ()
-    U: tuple[int, ...] = ()
+    S: tuple[int, ...]
+    T: tuple[int, ...]
+    U: tuple[int, ...]
 
 
 def classify_indecomposable_2cover(G: Graph, f: Monomial) -> Cover2Classification | None:
@@ -316,11 +315,9 @@ def classify_indecomposable_2cover(G: Graph, f: Monomial) -> Cover2Classificatio
     U = tuple(i for i, e in enumerate(f.exps) if e == 1)
     if G.induced_subgraph(U).is_bipartite():
         return None
-    if len(U) == G.n:
-        return Cover2Classification("all_ones")
     S = tuple(i for i, e in enumerate(f.exps) if e == 0)
     T = tuple(i for i, e in enumerate(f.exps) if e == 2)
-    return Cover2Classification("szt", S=S, T=T, U=U)
+    return Cover2Classification("all_ones" if len(U) == G.n else "szt", S, T, U)
 
 
 def indecomposability_by_membership(G: Graph, f: Monomial) -> bool:

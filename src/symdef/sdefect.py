@@ -330,10 +330,7 @@ def verify_triangle_tail(n: int) -> TriangleTailReport:
     left = sdefect_brute(triangle_tail(n), 2).value
     previous = sdefect_brute(triangle_tail(n - 1), 2).value
     rights = {}
-    for convention, vertices in (("edges", n - 3), ("vertices", n - 4)):
-        if vertices < 1:
-            continue
-        P = path(vertices)
-        rights[convention] = previous + symbolic_power(P, 2).mu()
+    for convention, vertices in (("edges", n - 3), ("vertices", n - 4)):  # n >= 5, so both >= 1
+        rights[convention] = previous + symbolic_power(path(vertices), 2).mu()
     held = [c for c, v in rights.items() if v == left]
     return TriangleTailReport(n, left, previous, rights, held[0] if held else None)

@@ -5,12 +5,15 @@ import tracemalloc
 from fractions import Fraction
 from math import comb, prod
 
+import numpy as np
 import pytest
 
 from symdef.asymptotics import (
     NoFitError,
+    _interpolate,
+    _poly_eval,
     _poly_str,
-    _rank,
+    _row_reduce,
     fit_quasipolynomial,
     jacobian_rank_full,
     mu_growth_degree,
@@ -114,6 +117,13 @@ class TestWaldschmidt:
             for m in range(1, 7):
                 assert Fraction(symbolic_power(G, m).alpha(), m) >= w
 
+    def test_minimizing_index_is_the_first_minimum_on_the_atlas(self, connected_atlas):
+        # the general minimum over m <= 2 of alpha(J^(m))/m, first index on a tie
+        for G in connected_atlas[1:]:  # the first has no edge
+            rep = waldschmidt(G)
+            ratios = [Fraction(a, m) for m, a in enumerate(rep.alphas, start=1)]
+            assert (rep.value, rep.minimizing_index) == (min(ratios), ratios.index(min(ratios)) + 1)
+
     def test_bipartite_value_is_alpha(self):
         # ordinary and symbolic powers agree, so the minimum sits at m = 1
         rep = waldschmidt(cycle(4))
@@ -203,7 +213,7 @@ class TestJacobianRank:
                  for j in range(g.n)]
                 for g in gens
             ]
-            return _rank(matrix) == len(gens)
+            return len(_row_reduce(matrix)) == len(gens)
 
         rng = random.Random(0)
         points = [
@@ -227,6 +237,42 @@ class TestJacobianRank:
                 assert full_rank_at(gens, point) == full, (gens, point)
         # both verdicts occur, so the agreement is not a constant answer
         assert True in verdicts and False in verdicts
+
+
+class TestRowReduce:
+    def test_interpolant_passes_through_every_point(self):
+        # the interpolant of k points of degree < k is unique, so this pins it
+        rng = random.Random(1)
+        for _ in range(500):
+            ms = rng.sample(range(-30, 60), rng.randint(1, 9))
+            points = [(m, rng.randint(-10**6, 10**6)) for m in ms]
+            poly = _interpolate(points)
+            assert len(poly) <= len(points)
+            assert all(_poly_eval(poly, m) == v for m, v in points), points
+
+    def test_rank_matches_numpy(self):
+        rng = np.random.default_rng(2)
+        for _ in range(500):
+            rows, cols = rng.integers(1, 7, size=2)
+            M = rng.integers(-3, 4, size=(rows, cols)) * rng.integers(0, 2, size=(rows, 1))
+            assert len(_row_reduce(M.tolist())) == np.linalg.matrix_rank(M), M
+
+    def test_reduced_rows_are_in_echelon_form(self):
+        R = _row_reduce([[0, 2, 4, 1], [0, 1, 2, 3], [1, 1, 1, 1], [2, 2, 2, 2]])
+        assert R == [[1, 0, -1, 0], [0, 1, 2, 0], [0, 0, 0, 1]]
+
+
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: fit_quasipolynomial([1, 2, 3, 4], start=1, period=0), "period must be positive"),
+        (lambda: jacobian_rank_full([]), "at least one generator"),
+    ],
+    ids=["fit-period-zero", "jacobian-no-generators"],
+)
+def test_refusal(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
 
 
 class TestSdefectDegree:

@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from symdef import monomials, sdefect
-from symdef.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, main
+from symdef.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, _is_odd_cycle, main
 from symdef.graphs import MAX_VERTICES, Graph
 
 
@@ -191,9 +191,7 @@ def _eval_piece(text, m):
 @pytest.mark.parametrize("family", ["C5", "C9"])
 def test_fit_pieces_parse_back_to_the_sequence(capsys, family):
     # C9's constant terms are negative (-2 and -33/16)
-    code, report, _ = run_json(
-        capsys, "fit", "--family", family, "--m", "1..12", "--period", "2"
-    )
+    code, report, _ = run_json(capsys, "fit", "--family", family, "--m", "1..12")
     assert code == EXIT_OK
     row = report["results"][0]
     pieces = {}
@@ -213,6 +211,9 @@ def test_classify2(capsys):
     kinds = {row["kind"] for row in report["results"]}
     assert "all_ones" in kinds
     assert all(row["agrees"] for row in report["results"])
+    # the all_ones row lists U, every vertex, with S and T empty
+    (row,) = [row for row in report["results"] if row["kind"] == "all_ones"]
+    assert (row["S"], row["T"], row["U"]) == ([], [], [1, 2, 3, 4, 5])
 
 
 def test_verify_complete_graphs(capsys):
@@ -225,6 +226,32 @@ def test_verify_triangle_tail(capsys):
     code, report, _ = run_json(capsys, "verify", "triangle-tail", "--n", "5..5")
     assert code == EXIT_OK
     assert report["results"][0]["convention"] == "edges"
+
+
+def test_verify_triangle_tail_pretty_and_tsv(capsys):
+    # a dict cell prints as JSON, not as a Python repr
+    code, out, err = run(capsys, "verify", "triangle-tail", "--n", "5..5")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        '# verify {"identity": "triangle-tail", "n": "5..5"}\n'
+        '  n=5  left=7  right={"edges": 7, "vertices": 5}  convention=edges  pass=True\n'
+    )
+    code, out, err = run(capsys, "verify", "triangle-tail", "--n", "5..5", "--format", "tsv")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "n\tleft\tright\tconvention\tpass\n"
+        '5\t7\t{"edges": 7, "vertices": 5}\tedges\tTrue\n'
+    )
+
+
+def test_cover_ideal_c5_tsv(capsys):
+    # a list cell prints its items joined by commas
+    code, out, err = run(capsys, "cover-ideal", "--family", "C5", "--format", "tsv")
+    assert (code, err) == (EXIT_OK, "")
+    assert out == (
+        "generators\tmu\talpha\n"
+        "[x1*x2*x4,x1*x3*x4,x1*x3*x5,x2*x3*x5,x2*x4*x5]\t5\t3\n"
+    )
 
 
 def test_verify_decomposition(capsys):
@@ -293,6 +320,43 @@ def test_cycle_method_reads_the_structure_not_the_labels(capsys, tmp_path):
     assert (code, out) == (EXIT_INPUT, "") and "connected" in err
     code, report, _ = run_json(capsys, *argv, "all")
     assert code == EXIT_OK and "cycle-recursion" not in {r["method"] for r in report["results"]}
+
+
+def _cycle_partitions(n, smallest=3):
+    """The multisets of cycle lengths >= `smallest` that sum to n."""
+    if n == 0:
+        yield ()
+    for k in range(smallest, n + 1):
+        for rest in _cycle_partitions(n - k, k):
+            yield (k,) + rest
+
+
+def _searched_odd_cycle(G):
+    # the oracle: connected, odd n >= 3 and every degree 2, by graph search
+    adj = G.adjacency()
+    if G.n < 3 or G.n % 2 == 0 or any(len(a) != 2 for a in adj):
+        return False
+    seen, todo = {0}, [0]
+    while todo:
+        new = adj[todo.pop()] - seen
+        seen |= new
+        todo += new
+    return len(seen) == G.n
+
+
+def test_odd_cycle_test_matches_a_graph_search():
+    import networkx as nx
+
+    graphs = [Graph.from_edges(H.number_of_nodes(), H.edges()) for H in nx.graph_atlas_g()]
+    for n in range(3, 17):
+        for lengths in _cycle_partitions(n):
+            starts = [sum(lengths[:i]) for i in range(len(lengths))]
+            edges = [(a + i, a + (i + 1) % k) for a, k in zip(starts, lengths) for i in range(k)]
+            graphs.append(Graph.from_edges(n, edges))
+    assert len(graphs) == 1348
+    verdicts = [_is_odd_cycle(G) for G in graphs]
+    assert verdicts == [_searched_odd_cycle(G) for G in graphs]
+    assert sum(verdicts) == 3 + 7  # C3, C5, C7 in the atlas; C3..C15 as unions
 
 
 class TestTrianglePlusIsolatedVertex:
@@ -438,10 +502,18 @@ class TestInputErrors:
         [
             (["sdefect", "--family", "C5", "--m", "0..3"], "m range must start at 1 or above"),
             (["fit", "--family", "C5", "--m", "1..3"], "no quasi-polynomial fit"),
-            (["fit", "--family", "C5", "--m", "1..8", "--period", "0"], "period must be positive"),
+            # the period of the fit is 2, the degree bound of the symbolic Rees algebra
+            (["fit", "--family", "C5", "--m", "1..8", "--period", "2"], "unrecognized arguments"),
             (["waldschmidt", "--family", "P1"], "at least one edge"),
+            (["cover-ideal", "--family", "K0"], "complete graph needs at least one vertex"),
+            (["cover-ideal", "--family", "C2"], "cycle needs at least three vertices"),
+            (["cover-ideal", "--family", "P0"], "path needs at least one vertex"),
+            (["cover-ideal", "--family", "T0"], "triangle tail needs at least one tail vertex"),
         ],
-        ids=["sdefect-m-zero", "fit-too-short", "fit-period-zero", "waldschmidt-edgeless"],
+        ids=[
+            "sdefect-m-zero", "fit-too-short", "fit-period-refused", "waldschmidt-edgeless",
+            "family-K0", "family-C2", "family-P0", "family-T0",
+        ],
     )
     def test_refusal_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)

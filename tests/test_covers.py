@@ -63,6 +63,12 @@ def test_cover_ideal_generators_are_minimal_covers():
                 assert not is_m_cover(G, smaller, 1)
 
 
+def test_enumeration_refuses_past_its_budget():
+    # (5 + 1)^9 = 10,077,696 exponent vectors, past 2,000,000
+    with pytest.raises(RuntimeError, match="exceeds enumeration budget"):
+        enumerate_minimal_mcovers(cycle(9), 5)
+
+
 def test_symbolic_power_zero_and_one():
     G = cycle(4)
     assert symbolic_power(G, 0).is_unit()
@@ -457,6 +463,7 @@ class TestClassify2:
     def test_all_ones_on_odd_cycle(self):
         cls = classify_indecomposable_2cover(cycle(5), all_ones(5))
         assert cls is not None and cls.kind == "all_ones"
+        assert (cls.S, cls.T, cls.U) == ((), (), (0, 1, 2, 3, 4))
 
     def test_all_ones_on_bipartite_decomposes(self):
         # x1x2x3x4 on C4 splits into the two opposite pairs

@@ -153,6 +153,20 @@ class TestArithmetic:
         assert Q.gens == (M(1, 1), M(0, 2))
 
 
+@pytest.mark.parametrize(
+    "call, error, message",
+    [
+        (lambda: MonomialIdeal(2, [(1, 2, 3)]), AmbientMismatchError, "length 3 in ambient"),
+        (lambda: MonomialIdeal(2, [M(1, 0)]).power(-1), ValueError, "negative ideal power"),
+        (lambda: MonomialIdeal(3, [M(1, 1, 0)]).delete_variable(5), ValueError, "index 5 out of"),
+    ],
+    ids=["ambient-mismatch", "negative-power", "delete-missing-variable"],
+)
+def test_refusal(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
+
+
 class TestExponentBound:
     def test_construction_refuses_rows_past_the_bound(self):
         # 2^62 * 2 > 2^63 - 1: the degree sum would wrap in int64

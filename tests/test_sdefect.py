@@ -247,6 +247,20 @@ def test_brute_refuses_a_huge_m_at_the_first_vertex():
     assert _cover_sum_chains.cache_info().currsize == 0
 
 
+@pytest.mark.parametrize(
+    "call, message",
+    [
+        (lambda: nu(cover_ideal(complete(3)), -1, all_ones(3)), "nu needs m >= 0"),
+        (lambda: sdefect_recursive(complete(3), 0), "sdefect needs m >= 1"),
+        (lambda: sdefect_cycle(5, 0), "sdefect needs m >= 1"),
+    ],
+    ids=["nu-negative-m", "recursion-m-zero", "cycle-m-zero"],
+)
+def test_refusal(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()
+
+
 class TestNu:
     def test_m_zero_is_one(self):
         I = cover_ideal(complete(3))
