@@ -7,7 +7,6 @@ Exit codes: 0 success, 2 verification mismatch, 3 resource cap exceeded,
 from __future__ import annotations
 
 import argparse
-import contextlib
 import json
 import sys
 import time
@@ -347,7 +346,8 @@ def _cmd_verify(args):
 
 def _add_common(p, needs_m=False):
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
-    p.add_argument("--max-gens", type=int, default=None, help="generator cap override")
+    p.add_argument("--max-gens", type=int, default=monomials._DEFAULT_GENERATOR_CAP,
+                   help="generator cap: the most rows one step may count (default: %(default)s)")
     src = p.add_mutually_exclusive_group()
     src.add_argument("--family", help='family shorthand, e.g. "K5", "C7", "P4", "T3"')
     src.add_argument("--graph", help="path to a graph JSON file")
@@ -393,9 +393,8 @@ def build_parser() -> _Parser:
 def main(argv=None) -> int:
     try:
         args = build_parser().parse_args(argv)
-        cap = args.max_gens
         started = time.monotonic()
-        with contextlib.nullcontext() if cap is None else monomials.generator_cap(cap):
+        with monomials.generator_cap(args.max_gens):
             input_desc, results, warnings, code = args.func(args)
         _emit(args, input_desc, results, warnings, started)
         return code

@@ -10,7 +10,7 @@ import numpy as np
 
 from . import monomials
 from .graphs import Graph
-from .monomials import Monomial, MonomialIdeal, _check_cap, _distinct_rows
+from .monomials import Monomial, MonomialIdeal, _capped_cache, _chain_lock, _check_cap, _distinct_rows
 
 ENUMERATION_BUDGET = 2_000_000
 
@@ -66,7 +66,7 @@ def _check_power_range(kind: str, n: int, m: int) -> None:
         raise ValueError(f"{kind} power on {n} vertices needs 0 <= m <= {top}, got {m}")
 
 
-@lru_cache(maxsize=16)
+@_capped_cache
 def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     """m-th symbolic power J^(m) of the cover ideal.  Its generators are
     the minimal vertex m-covers (Herzog-Hibi-Trung): the vectors e with
@@ -108,7 +108,7 @@ def symbolic_power(G: Graph, m: int) -> MonomialIdeal:
     low[u] lie in [0, m] and the tightness test adds two of them, so no
     value exceeds 2m and the narrow type is exact.  They widen to int64
     only as they become the ideal, which is the same as ever.  The last
-    16 (G, m) asked are kept.
+    16 (cap in force, G, m) asked are kept.
     """
     n = G.n
     _check_power_range("symbolic", n, m)
@@ -178,43 +178,44 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     `_minimal_cover_rows`; a block keeps only its minimal covers and
     their j, and one `_distinct_rows` over the whole level removes the
     duplicates.
-    The levels are kept in `_cover_sum_chains`, one chain per (G, base),
-    and extended one at a time; before a level is formed, the rows the
-    chain holds and then its pairs count against the generator cap.
+    The levels are kept in `_cover_sum_chains`, one chain per (cap, G,
+    base), grown one level at a time under `_chain_lock`; before each
+    level, the rows held and then its pairs count against the cap.
 
     Level k is held in `_row_dtype(k)`: a minimal (k-1)-cover plus a
     0/1 cover has entries at most k, and `_minimal_cover_rows` adds two
     of them.  The levels stay narrow; none becomes an ideal.
     """
     chain = _cover_sum_chains(G, base)
-    for k in range(len(chain), m + 1):
-        _check_cap(sum(len(D) for D, _ in chain))
-        prev, prev_last = chain[-1]
-        order = np.argsort(prev_last, kind="stable")
-        # c_j sums with the first counts[j] rows in `order`
-        counts = np.searchsorted(prev_last[order], np.arange(len(base)), side="right")
-        ends = np.cumsum(counts)
-        starts = ends - counts
-        total = int(ends[-1])
-        _check_cap(total)
-        dtype = _row_dtype(k)
-        rows, covers = prev[order].astype(dtype), base._arr.astype(dtype)
-        kept, tops = [], []
-        for lo in range(0, total, monomials._BLOCK_WORDS):
-            pair = np.arange(lo, min(lo + monomials._BLOCK_WORDS, total))
-            j = np.searchsorted(ends, pair, side="right")
-            cand = rows[pair - starts[j]] + covers[j]
-            ok = _minimal_cover_rows(G, cand, k)
-            kept.append(cand[ok])
-            tops.append(j[ok])
-        del pair, j, cand, ok  # the level's dedup needs only the kept rows
-        kept = np.concatenate(kept)
-        out, *_, first = _distinct_rows(kept)
-        chain.append((out, np.concatenate(tops)[first]))
+    with _chain_lock:
+        for k in range(len(chain), m + 1):
+            _check_cap(sum(len(D) for D, _ in chain))
+            prev, prev_last = chain[-1]
+            order = np.argsort(prev_last, kind="stable")
+            # c_j sums with the first counts[j] rows in `order`
+            counts = np.searchsorted(prev_last[order], np.arange(len(base)), side="right")
+            ends = np.cumsum(counts)
+            starts = ends - counts
+            total = int(ends[-1])
+            _check_cap(total)
+            dtype = _row_dtype(k)
+            rows, covers = prev[order].astype(dtype), base._arr.astype(dtype)
+            kept, tops = [], []
+            for lo in range(0, total, monomials._BLOCK_WORDS):
+                pair = np.arange(lo, min(lo + monomials._BLOCK_WORDS, total))
+                j = np.searchsorted(ends, pair, side="right")
+                cand = rows[pair - starts[j]] + covers[j]
+                ok = _minimal_cover_rows(G, cand, k)
+                kept.append(cand[ok])
+                tops.append(j[ok])
+            del pair, j, cand, ok  # the level's dedup needs only the kept rows
+            kept = np.concatenate(kept)
+            out, *_, first = _distinct_rows(kept)
+            chain.append((out, np.concatenate(tops)[first]))
     return chain[m]
 
 
-@lru_cache(maxsize=16)
+@_capped_cache
 def _cover_sum_chains(G: Graph, base: MonomialIdeal) -> list[tuple[np.ndarray, np.ndarray]]:
     """(D_0, last), (D_1, last), ... of G and base, as far as
     `_decomposable_covers` has built them; only a few chains are kept."""
@@ -228,10 +229,6 @@ def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
     share work."""
     _check_power_range("ordinary", G.n, m)
     return cover_ideal(G).power(m)
-
-
-# lowering the generator cap empties these caches (`monomials.generator_cap`)
-monomials._capped_caches += (symbolic_power, _cover_sum_chains)
 
 
 def _check_ring(G: Graph, f: Monomial) -> None:

@@ -19,15 +19,17 @@ lexsort on the degree and the packed words.
 """
 from __future__ import annotations
 
+import threading
 from contextlib import contextmanager
+from contextvars import ContextVar
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import lru_cache, wraps
 from typing import Iterable, Iterator, Sequence
 
 import numpy as np
 
 _DEFAULT_GENERATOR_CAP = 200_000
-_generator_cap = _DEFAULT_GENERATOR_CAP
+_generator_cap = ContextVar("generator_cap", default=_DEFAULT_GENERATOR_CAP)
 
 # Bound on max exponent * n for every stored row: degree sums fit int64.
 EXPONENT_BOUND = 2**63 - 1
@@ -66,32 +68,35 @@ class GeneratorCapExceeded(RuntimeError):
         self.cap = cap
 
 
-# lru_caches of results counted against the generator cap: lowering it empties them
-_capped_caches: list = []
-
-
-def _set_cap(cap: int) -> None:
-    global _generator_cap
-    if cap < _generator_cap:
-        for cached in _capped_caches:
-            cached.cache_clear()
-    _generator_cap = cap
-
-
 @contextmanager
 def generator_cap(cap: int) -> Iterator[None]:
     """Bound every intermediate generating set by `cap` inside the block;
-    the previous cap comes back on exit.  Each step down, on entry or on
-    restore, empties `_capped_caches`, so the cap in force decides every
-    answer, cached or not."""
+    the previous cap comes back on exit.  The cap is per context: a new
+    thread starts at the default."""
     if cap < 0:
         raise ValueError(f"generator cap must be >= 0, got {cap}")
-    previous = _generator_cap
-    _set_cap(int(cap))
+    token = _generator_cap.set(int(cap))
     try:
         yield
     finally:
-        _set_cap(previous)
+        _generator_cap.reset(token)
+
+
+def _capped_cache(fn):
+    """`lru_cache(maxsize=16)` of `fn`, keyed on the generator cap in force
+    and the arguments: an answer, or a refusal, depends on those alone, so
+    no change of cap needs to empty the cache."""
+    cached = lru_cache(maxsize=16)(lambda cap, *args: fn(*args))
+
+    @wraps(fn)
+    def wrapper(*args):
+        return cached(_generator_cap.get(), *args)
+    wrapper.cache_info, wrapper.cache_clear = cached.cache_info, cached.cache_clear
+    return wrapper
+
+
+# held while a chain grows: one step reads the last link and appends the next
+_chain_lock = threading.RLock()
 
 
 @dataclass(frozen=True, slots=True)
@@ -302,8 +307,8 @@ def _minimal_rows(arr: np.ndarray) -> np.ndarray:
 
 
 def _check_cap(count: int) -> None:
-    if count > _generator_cap:
-        raise GeneratorCapExceeded(count, _generator_cap)
+    if count > (cap := _generator_cap.get()):
+        raise GeneratorCapExceeded(count, cap)
 
 
 class MonomialIdeal:
@@ -466,9 +471,9 @@ class MonomialIdeal:
         """I^k.  An ideal of at most one generator g answers at once, with
         itself or (g^k); any other ideal extends its chain I^0, I^1, ...
         in `_power_chains` from the highest power built so far, one
-        multiply by I per step; before each step the generators the chain
-        already holds count against the generator cap.  This is the only
-        code that multiplies an ideal by itself."""
+        multiply by I per step under `_chain_lock`; before each step the
+        generators the chain already holds count against the generator
+        cap.  This is the only code that multiplies an ideal by itself."""
         if k < 0:
             raise ValueError("negative ideal power")
         if k and len(self._arr) <= 1:
@@ -476,9 +481,10 @@ class MonomialIdeal:
             _check_exponent_bound(top * k, self.n)
             return MonomialIdeal._from_minimal(self.n, self._arr * k) if top else self
         chain = _power_chains(self)
-        while len(chain) <= k:
-            _check_cap(sum(map(len, chain)))
-            chain.append(chain[-1].multiply(self))
+        with _chain_lock:
+            while len(chain) <= k:
+                _check_cap(sum(map(len, chain)))
+                chain.append(chain[-1].multiply(self))
         return chain[k]
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
@@ -500,12 +506,9 @@ class MonomialIdeal:
         return MonomialIdeal._from_array(self.n - 1, keep)
 
 
-@lru_cache(maxsize=16)
+@_capped_cache
 def _power_chains(I: MonomialIdeal) -> list[MonomialIdeal]:
     """I^0, I^1, ... of I, as far as `MonomialIdeal.power` has built
     them.  A sweep asks for the powers of one ideal at a time, so only a
     few chains are kept."""
     return [MonomialIdeal.unit(I.n), I]
-
-
-_capped_caches.append(_power_chains)

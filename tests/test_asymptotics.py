@@ -24,7 +24,7 @@ from symdef.asymptotics import (
 from symdef.covers import cover_ideal, symbolic_power
 from symdef.graphs import complete, cycle
 from symdef.monomials import AmbientMismatchError, Monomial, MonomialIdeal
-from symdef.sdefect import PreconditionError, sdefect_brute, staircase_ideal
+from symdef.sdefect import PreconditionError, has_unique_extra_2cover, sdefect_brute, staircase_ideal
 
 
 class TestFit:
@@ -287,6 +287,15 @@ class TestSdefectDegree:
     def test_two_triangles_is_quadratic(self, two_triangles):
         rep = sdefect_degree(two_triangles)
         assert rep.degree == 2 and rep.agrees
+
+    def test_fit_agrees_on_the_connected_atlas(self, connected_atlas):
+        # the 66 connected graphs on at most 6 vertices that meet the 2-cover
+        # hypothesis; with m_max = 8, five of them get no fit
+        graphs = [G for G in connected_atlas if has_unique_extra_2cover(G)]
+        assert len(graphs) == 66
+        for G in graphs:
+            rep = sdefect_degree(G, 10)
+            assert rep.fitted_degree is not None and rep.agrees, sorted(G.edges)
 
     def test_hypothesis_checked(self, triangle_plus_isolated):
         for G in (cycle(6), triangle_plus_isolated):

@@ -1,11 +1,13 @@
 """Cover ideals, symbolic powers, m-covers, 2-cover classification."""
 import itertools
 import random
+import threading
 import tracemalloc
 
 import numpy as np
 import pytest
 
+from symdef import covers
 from symdef.covers import (
     _cover_sum_chains,
     _decomposable_covers,
@@ -178,8 +180,8 @@ def test_symbolic_power_partial_rows_stay_small():
 
 
 def test_nested_cap_blocks_restore_the_outer_cap():
-    # the inner block caches J^(10) of K7, built under 20,000; leaving it
-    # steps the cap down to 100 again, which must empty that cache
+    # the inner block caches J^(10) of K7, built under 20,000; back under
+    # 100, that cached result is not the answer
     with generator_cap(100):
         with generator_cap(20_000):
             assert len(symbolic_power(complete(7), 10)) == 36
@@ -522,26 +524,103 @@ def test_path_square_is_symbolic_square():
         assert symbolic_power(P, 2).mu() == ordinary_power(P, 2).mu()
 
 
-def test_lowering_the_cap_empties_the_caches():
+def test_the_cap_in_force_decides_every_answer():
+    # every cache keys on the cap: under cap 0 each capped call is refused,
+    # and the results built under the outer cap survive the block
     G = cycle(7)
     J = cover_ideal(G)
     built = (J, symbolic_power(G, 3), _decomposable_covers(G, 3, J), ordinary_power(G, 3))
-    with generator_cap(_DEFAULT_GENERATOR_CAP + 1):  # raising keeps the cached results
-        assert symbolic_power(G, 3) is built[1]
-        assert ordinary_power(G, 3) is built[3]
-        assert J.power(3) is built[3]
-        with generator_cap(0):
+    with generator_cap(_DEFAULT_GENERATOR_CAP + 1):  # a raised cap builds its own results
+        assert symbolic_power(G, 3) == built[1]
+        assert J.power(3) == built[3]
+    with generator_cap(0):
+        with pytest.raises(GeneratorCapExceeded):
+            cover_ideal(G)
+        for cached, args in (
+            (symbolic_power, (G, 3)),
+            (_decomposable_covers, (G, 3, J)),
+            (ordinary_power, (G, 3)),
+            (J.power, (3,)),
+        ):
             with pytest.raises(GeneratorCapExceeded):
-                cover_ideal(G)
-            for cached, args in (
-                (symbolic_power, (G, 3)),
-                (_decomposable_covers, (G, 3, J)),
-                (ordinary_power, (G, 3)),
-                (J.power, (3,)),
-            ):
-                with pytest.raises(GeneratorCapExceeded):
-                    cached(*args)
-    assert symbolic_power(G, 3) == built[1]
+                cached(*args)
+    assert symbolic_power(G, 3) is built[1]
+    assert _decomposable_covers(G, 3, J)[0] is built[2][0]
+    assert ordinary_power(G, 3) is J.power(3) is built[3]
+
+
+def test_a_cap_binds_only_its_own_thread():
+    # a thread that holds cap 0 leaves this thread at its own cap, and a
+    # new thread starts at the default, whatever cap this thread holds
+    G = cycle(7)
+    expected = symbolic_power.__wrapped__(G, 3)
+    inside, leave, answers = threading.Event(), threading.Event(), []
+
+    def hold_cap_zero():
+        with generator_cap(0):
+            inside.set()
+            leave.wait(5)
+
+    holder = threading.Thread(target=hold_cap_zero)
+    holder.start()
+    try:
+        assert inside.wait(5)
+        assert symbolic_power.__wrapped__(G, 3) == expected
+    finally:
+        leave.set()
+        holder.join(5)
+    assert not holder.is_alive()
+    with generator_cap(0):
+        builder = threading.Thread(target=lambda: answers.append(symbolic_power.__wrapped__(G, 3)))
+        builder.start()
+        builder.join(5)
+    assert answers == [expected]
+
+
+def _race(monkeypatch, owner, name, grow_there, grow_here):
+    """Run grow_there in a worker whose first call of owner.name waits,
+    for at most 0.5 s, until grow_here has run in this thread."""
+    real = getattr(owner, name)
+    inside, resume = threading.Event(), threading.Event()
+
+    def paused(*args):
+        if threading.current_thread() is worker and not inside.is_set():
+            inside.set()
+            resume.wait(0.5)
+        return real(*args)
+
+    monkeypatch.setattr(owner, name, paused)
+    worker = threading.Thread(target=grow_there)
+    worker.start()
+    assert inside.wait(5)
+    grow_here()
+    resume.set()
+    worker.join(5)
+    assert not worker.is_alive()
+
+
+def test_two_threads_grow_one_power_chain(monkeypatch):
+    # the worker pauses in the multiply to J^2 while this thread grows the
+    # chain to J^3; unlocked, it then appends J^2 past J^3
+    J = cover_ideal(cycle(5))
+    expected = _cold_power(J, 4)
+    _power_chains.cache_clear()
+    _race(monkeypatch, MonomialIdeal, "multiply", lambda: J.power(2), lambda: J.power(3))
+    assert J.power(4) == expected
+
+
+def test_two_threads_grow_one_cover_sum_chain(monkeypatch):
+    # the same race on the cover-sum chain, paused in the test of level 2
+    G = cycle(5)
+    J = cover_ideal(G)
+    _cover_sum_chains.cache_clear()
+    expected = _decomposable_covers(G, 4, J)
+    _cover_sum_chains.cache_clear()
+    _race(
+        monkeypatch, covers, "_minimal_cover_rows",
+        lambda: _decomposable_covers(G, 2, J), lambda: _decomposable_covers(G, 3, J),
+    )
+    assert all(map(np.array_equal, _decomposable_covers(G, 4, J), expected))
 
 
 def _full_product_level(G: Graph, prev: np.ndarray, base: MonomialIdeal, m: int) -> np.ndarray:

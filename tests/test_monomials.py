@@ -279,11 +279,13 @@ class TestLazyGenerators:
 
 class TestGeneratorCap:
     def test_cap_trips_and_restores(self):
-        with generator_cap(3):
-            I = MonomialIdeal(2, [M(3, 0), M(2, 1), M(1, 2), M(0, 3)])
-            with pytest.raises(GeneratorCapExceeded) as exc:
+        I = MonomialIdeal(2, [M(3, 0), M(2, 1), M(1, 2), M(0, 3)])
+        with pytest.raises(GeneratorCapExceeded) as exc:
+            with generator_cap(3):
                 I.multiply(I)
-            assert exc.value.cap == 3
+        assert exc.value.cap == 3
+        # the block left by the refusal restored the default cap: 16 candidates pass
+        assert I.multiply(I).mu() == 7
 
     def test_negative_cap_refused(self):
         with pytest.raises(ValueError, match="-1"):

@@ -145,7 +145,7 @@ class TestBruteWithoutOrdinaryPower:
         # the rows held before level 4 count first, and stay below the pairs
         assert sum(len(D) for D, _ in _cover_sum_chains(G, J)[:4]) == 71
         expected = _decomposable_covers(G, 4, J)
-        # each step down empties the chain cache: every level is built under the cap
+        # each cap keeps a chain of its own: every level is built under the cap
         with generator_cap(count - 1):
             with pytest.raises(GeneratorCapExceeded) as exc:
                 _decomposable_covers(G, 4, J)
@@ -192,13 +192,12 @@ class TestLazyWitnesses:
     def test_witnesses_outlive_the_caches(self):
         G, m = cycle(7), 4
         rep = sdefect_brute(G, m)
-        with generator_cap(0):  # the step down empties the caches
-            pass
-        assert symbolic_power.cache_info().currsize == 0
-        assert _cover_sum_chains.cache_info().currsize == 0
+        symbolic_power.cache_clear()
+        _cover_sum_chains.cache_clear()
         witnesses = rep.witnesses
         # the report read its own rows, no cache
         assert symbolic_power.cache_info().currsize == 0
+        assert _cover_sum_chains.cache_info().currsize == 0
         assert witnesses == _membership_witnesses(G, m)
 
     def test_reports_compare_by_value_not_rows(self):
