@@ -133,45 +133,29 @@ def _graph_desc(args, G: graphs.Graph):
     return {"source": source, "n": G.n, "edges": [[i + 1, j + 1] for i, j in G.edge_list()]}
 
 
-def _is_odd_cycle(G: graphs.Graph) -> bool:
-    """Whether G is C_n under some labelling: connected, with an odd
-    n >= 3 and every vertex of degree 2.  `sdefect_cycle` reads n alone,
-    as the defect depends only on the isomorphism class.  With every
-    degree 2, G is a disjoint union of cycles.  `has_unique_extra_2cover`
-    needs an odd cycle C and every vertex adjacent to C; a vertex on
-    another component is adjacent to no vertex of C, and a single odd
-    cycle passes, as each G - N[v] is a path."""
-    return all(len(a) == 2 for a in G.adjacency()) and sdefect.has_unique_extra_2cover(G)
+# each --method and its function, read from `sdefect` at each call so that a rebinding counts
+_METHODS = {"brute": "sdefect_brute", "recursion": "sdefect_recursive", "cycle": "sdefect_cycle"}
 
 
 def _cmd_sdefect(args):
     G = _load_graph(args)
     lo, hi = _parse_m_range(args.m, G.n)
-    methods = args.method
-    odd_cycle = _is_odd_cycle(G)
-    if methods == "cycle" and not odd_cycle:
-        raise CLIInputError(
-            "--method cycle requires an odd cycle: connected, odd n >= 3, every vertex of degree 2"
-        )
+    methods = list(_METHODS) if args.method == "all" else [args.method]
     results, warnings = [], []
     mismatch = False
     for m in range(lo, hi + 1):
         reports = []
-        if methods in ("brute", "all"):
-            reports.append(sdefect.sdefect_brute(G, m))
-        if methods in ("recursion", "all"):
+        for method in methods:
             try:
-                reports.append(sdefect.sdefect_recursive(G, m))
+                reports.append(getattr(sdefect, _METHODS[method])(G, m))
             except sdefect.PreconditionError as exc:
-                if methods == "recursion":
+                if args.method != "all":
                     raise
                 if exc.hypothesis == sdefect.UNIQUE_EXTRA_2COVER:
                     warnings.append(f"m={m}: recursion skipped: {exc}")
-                else:
+                elif exc.hypothesis != sdefect.ODD_CYCLE:  # the indecomposability check
                     reports.append(sdefect.sdefect_recursive(G, m, unchecked=True))
                     warnings.append(f"m={m}: {exc}; formula value reported unchecked")
-        if methods in ("cycle", "all") and odd_cycle:
-            reports.append(sdefect.sdefect_cycle(G.n, m))
         per_method = {}
         for rep in reports:
             per_method[rep.method] = rep.value
@@ -195,7 +179,7 @@ def _cmd_waldschmidt(args):
             "resurgence_lower_bound": rep.resurgence_lower_bound,
         }
     ]
-    reason = f"hypothesis failed: {sdefect.UNIQUE_EXTRA_2COVER}"
+    reason = str(sdefect.PreconditionError(sdefect.UNIQUE_EXTRA_2COVER))
     warnings = [f"resurgence bound skipped: {reason}"] if rep.resurgence_lower_bound is None else []
     return _graph_desc(args, G), results, warnings, EXIT_OK
 
@@ -292,9 +276,10 @@ def _cmd_verify(args):
         for n in range(n_lo, n_hi + 1):
             if n % 2 == 0:
                 continue
+            G = graphs.cycle(n)
             for m in range(m_lo, m_hi + 1):
-                got = sdefect.sdefect_cycle(n, m).value
-                expected = sdefect.sdefect_brute(graphs.cycle(n), m).value
+                got = sdefect.sdefect_cycle(G, m).value
+                expected = sdefect.sdefect_brute(G, m).value
                 passed = got == expected
                 results.append({"n": n, "m": m, "recursion": got, "brute": expected, "pass": passed})
         input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
@@ -365,7 +350,7 @@ def build_parser() -> _Parser:
 
     p = sub.add_parser("sdefect", help="symbolic defect over an m-range")
     _add_common(p, needs_m=True)
-    p.add_argument("--method", choices=("brute", "recursion", "cycle", "all"), default="brute")
+    p.add_argument("--method", choices=(*_METHODS, "all"), default="brute")
     p.set_defaults(func=_cmd_sdefect)
 
     p = sub.add_parser("waldschmidt", help="Waldschmidt constant and resurgence bound")

@@ -12,7 +12,7 @@ from typing import Iterable
 
 # Every graph is refused above this many vertices.  Each generator of an
 # ideal on the graph is an n-wide row, and the largest graphs whose
-# ideals the tests, the README, CI and the benchmark build have 17 vertices.
+# ideals the tests, the README, CI and the benchmark build have 19 vertices.
 MAX_VERTICES = 100
 
 

@@ -21,8 +21,10 @@ from .monomials import (
     all_ones,
 )
 
-# hypothesis of the recursion, the resurgence bound and the degree prediction
+# the hypotheses a PreconditionError names: of the recursion, the resurgence
+# bound and the degree prediction; and of the odd-cycle recursion
 UNIQUE_EXTRA_2COVER = "the product of all variables is the only extra generator of J(G)^(2)"
+ODD_CYCLE = "G is an odd cycle: connected, odd n >= 3, every vertex of degree 2"
 
 
 class PreconditionError(ValueError):
@@ -272,8 +274,8 @@ def staircase_ideal(n: int) -> MonomialIdeal:
     return MonomialIdeal(n, [[1 - (j - i) % n % 2 for j in range(n)] for i in range(n)])
 
 
-def sdefect_cycle(n: int, m: int) -> SdefectReport:
-    """Symbolic defect of the odd n-cycle via the recursion driven by the
+def sdefect_cycle(G: Graph, m: int) -> SdefectReport:
+    """Symbolic defect of an odd cycle C_n via the recursion driven by the
     staircase ideal S (equal to the cover ideal for n <= 7):
 
         sdefect(m) = sdefect(m-2) + nu(m-2),  sdefect(0) = sdefect(1) = 0,
@@ -286,6 +288,13 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
     `covers._decomposable_covers(C_n, k, S)` (the empty sum gives
     nu(0) = 1), and S^k is never built.
 
+    Precondition (`ODD_CYCLE`, always checked): G is C_n under some
+    labelling.  With every degree 2, G is a disjoint union of cycles, and
+    `has_unique_extra_2cover` needs an odd cycle C with every vertex
+    adjacent to C: a vertex on another component is not, and a single odd
+    cycle passes, as each G - N[v] is a path.  A relabelling keeps the
+    defect, so every labelling is counted on one chain, of `cycle(n)` and S.
+
     Proved: sdefect(m) = #{h in G(J^(m-2)) : F*h not in J^m}, from
     J^(m) = J^m + F*J^(m-2), which holds since the symbolic Rees algebra
     of a cover ideal is generated in degree <= 2 (Herzog-Hibi-Trung).
@@ -294,12 +303,12 @@ def sdefect_cycle(n: int, m: int) -> SdefectReport:
     C11 m <= 6, C13 m <= 5 and C15 m <= 3; it is not proved for every odd
     n and m.
     """
-    if n < 3 or n % 2 == 0:
-        raise ValueError("cycle recursion needs odd n >= 3")
     if m < 1:
         raise ValueError("sdefect needs m >= 1")
-    G, S = cycle(n), staircase_ideal(n)
-    value = sum(len(_decomposable_covers(G, k, S)[0]) for k in range(m % 2, m - 1, 2))
+    if not (all(len(a) == 2 for a in G.adjacency()) and has_unique_extra_2cover(G)):
+        raise PreconditionError(ODD_CYCLE)
+    C, S = cycle(G.n), staircase_ideal(G.n)
+    value = sum(len(_decomposable_covers(C, k, S)[0]) for k in range(m % 2, m - 1, 2))
     return SdefectReport(_graph_id(G), m, value, "cycle-recursion")
 
 

@@ -138,7 +138,7 @@ def test_criterion_07_odd_cycle_recursion():
     ranges = {5: 8, 7: 6, 9: 5}
     for n, m_max in ranges.items():
         for m in range(1, m_max + 1):
-            got = sdefect_cycle(n, m).value
+            got = sdefect_cycle(cycle(n), m).value
             want = sdefect_brute(cycle(n), m).value
             if got != want:
                 failures.append((n, m, got, want))

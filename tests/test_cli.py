@@ -7,7 +7,7 @@ from fractions import Fraction
 import pytest
 
 from symdef import monomials, sdefect
-from symdef.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, _is_odd_cycle, main
+from symdef.cli import EXIT_INPUT, EXIT_MISMATCH, EXIT_OK, EXIT_RESOURCE, main
 from symdef.graphs import MAX_VERTICES, Graph
 
 
@@ -277,20 +277,32 @@ def test_verify_classification_matches_classify2(capsys):
     assert kinds == [row["kind"] for row in classified["results"]]
 
 
-def test_verify_cycle_mismatch_exits_2(capsys, monkeypatch):
+@pytest.fixture
+def off_by_one_cycle(monkeypatch):
     # a recursion that disagrees with brute force by one must be reported
     real = sdefect.sdefect_cycle
 
-    def off_by_one(n, m):
-        rep = real(n, m)
+    def off_by_one(G, m):
+        rep = real(G, m)
         return dataclasses.replace(rep, value=rep.value + 1)
 
     monkeypatch.setattr(sdefect, "sdefect_cycle", off_by_one)
+
+
+def test_verify_cycle_mismatch_exits_2(capsys, off_by_one_cycle):
     code, report, _ = run_json(capsys, "verify", "cycle", "--n", "9..9", "--m", "5..5")
     assert code == EXIT_MISMATCH
     row = report["results"][0]
     assert not row["pass"]
     assert row["recursion"] == 103 and row["brute"] == 102
+
+
+def test_sdefect_all_reads_the_cycle_method_at_each_call(capsys, off_by_one_cycle):
+    code, report, _ = run_json(capsys, "sdefect", "--family", "C7", "--m", "4", "--method", "all")
+    assert code == EXIT_MISMATCH
+    assert report["warnings"] == [
+        "m=4: methods disagree: {'brute': 22, 'recursion': 22, 'cycle-recursion': 23}"
+    ]
 
 
 def test_verify_cycle_c9_agrees(capsys):
@@ -344,6 +356,15 @@ def _searched_odd_cycle(G):
     return len(seen) == G.n
 
 
+def _cycle_method_runs(G):
+    try:
+        sdefect.sdefect_cycle(G, 1)
+    except sdefect.PreconditionError as exc:
+        assert exc.hypothesis == sdefect.ODD_CYCLE
+        return False
+    return True
+
+
 def test_odd_cycle_test_matches_a_graph_search():
     import networkx as nx
 
@@ -354,7 +375,7 @@ def test_odd_cycle_test_matches_a_graph_search():
             edges = [(a + i, a + (i + 1) % k) for a, k in zip(starts, lengths) for i in range(k)]
             graphs.append(Graph.from_edges(n, edges))
     assert len(graphs) == 1348
-    verdicts = [_is_odd_cycle(G) for G in graphs]
+    verdicts = [_cycle_method_runs(G) for G in graphs]
     assert verdicts == [_searched_odd_cycle(G) for G in graphs]
     assert sum(verdicts) == 3 + 7  # C3, C5, C7 in the atlas; C3..C15 as unions
 

@@ -36,6 +36,7 @@ from symdef.monomials import (
     generator_cap,
 )
 from symdef.sdefect import (
+    ODD_CYCLE,
     PreconditionError,
     SdefectReport,
     check_indecomposability_conditions,
@@ -209,7 +210,7 @@ class TestLazyWitnesses:
         assert hash(first) == hash(second) == hash(bare)
         assert repr(first) == repr(bare)
         assert bare.witnesses == ()
-        assert sdefect_cycle(5, 3).witnesses == ()
+        assert sdefect_cycle(cycle(5), 3).witnesses == ()
         assert sdefect_recursive(G, 3).witnesses == ()
 
     def test_count_peak_memory(self):
@@ -251,7 +252,7 @@ def test_brute_refuses_a_huge_m_at_the_first_vertex():
     [
         (lambda: nu(cover_ideal(complete(3)), -1, all_ones(3)), "nu needs m >= 0"),
         (lambda: sdefect_recursive(complete(3), 0), "sdefect needs m >= 1"),
-        (lambda: sdefect_cycle(5, 0), "sdefect needs m >= 1"),
+        (lambda: sdefect_cycle(cycle(5), 0), "sdefect needs m >= 1"),
     ],
     ids=["nu-negative-m", "recursion-m-zero", "cycle-m-zero"],
 )
@@ -454,7 +455,7 @@ class TestOddCycles:
         with pytest.raises(ValueError):
             staircase_ideal(4)
         with pytest.raises(ValueError):
-            sdefect_cycle(6, 2)
+            sdefect_cycle(cycle(6), 2)
 
     def test_staircase_refuses_more_vertices_than_a_graph(self):
         assert staircase_ideal(MAX_VERTICES - 1).mu() == MAX_VERTICES - 1
@@ -462,36 +463,51 @@ class TestOddCycles:
             with pytest.raises(GraphTooLargeError):
                 staircase_ideal(n)
 
+    def test_refuses_a_graph_that_is_not_an_odd_cycle(self):
+        two_triangles = Graph.from_edges(6, [(0, 1), (1, 2), (0, 2), (3, 4), (4, 5), (3, 5)])
+        for G in (cycle(4), path(5), complete(4), two_triangles):
+            with pytest.raises(PreconditionError) as exc:
+                sdefect_cycle(G, 2)
+            assert exc.value.hypothesis == ODD_CYCLE
+
+    def test_any_labelling_gives_the_value_of_the_canonical_cycle(self):
+        # C7 under the labels 1 4 2 6 3 7 5 around the cycle
+        order = [0, 3, 1, 5, 2, 6, 4]
+        relabeled = Graph.from_edges(7, zip(order, order[1:] + order[:1]))
+        assert relabeled != cycle(7)
+        for m in range(1, 9):
+            assert sdefect_cycle(relabeled, m) == sdefect_cycle(cycle(7), m)
+
     def test_c5_small_values(self):
-        assert sdefect_cycle(5, 3).value == 5
+        assert sdefect_cycle(cycle(5), 3).value == 5
 
     def test_c5_matches_brute(self):
         for m in range(1, 9):
-            assert sdefect_cycle(5, m).value == SEQ_C5[m - 1]
+            assert sdefect_cycle(cycle(5), m).value == SEQ_C5[m - 1]
 
     def test_c7_matches_brute(self):
         for m in range(1, 7):
-            assert sdefect_cycle(7, m).value == sdefect_brute(cycle(7), m).value
+            assert sdefect_cycle(cycle(7), m).value == sdefect_brute(cycle(7), m).value
 
     def test_c9_matches_brute_below_five(self):
         for m in range(1, 5):
-            assert sdefect_cycle(9, m).value == sdefect_brute(cycle(9), m).value
+            assert sdefect_cycle(cycle(9), m).value == sdefect_brute(cycle(9), m).value
 
     def test_c9_recursion_at_five(self):
-        assert sdefect_cycle(9, 5).value == sdefect_brute(cycle(9), 5).value
+        assert sdefect_cycle(cycle(9), 5).value == sdefect_brute(cycle(9), 5).value
 
     # minimal covers divisible by F first matter here (a rule that skipped
     # them gave 217 and 176)
     def test_c9_recursion_at_six(self):
-        assert sdefect_cycle(9, 6).value == sdefect_brute(cycle(9), 6).value == 226
+        assert sdefect_cycle(cycle(9), 6).value == sdefect_brute(cycle(9), 6).value == 226
 
     def test_c11_recursion_at_five(self):
-        assert sdefect_cycle(11, 5).value == sdefect_brute(cycle(11), 5).value == 187
+        assert sdefect_cycle(cycle(11), 5).value == sdefect_brute(cycle(11), 5).value == 187
 
     def test_larger_cycles_match_brute(self):
         for n, ms in ((11, [6]), (13, range(1, 6)), (15, range(1, 4))):
             for m in ms:
-                assert sdefect_cycle(n, m).value == sdefect_brute(cycle(n), m).value
+                assert sdefect_cycle(cycle(n), m).value == sdefect_brute(cycle(n), m).value
 
 
 class TestPowerChain:
@@ -504,7 +520,7 @@ class TestPowerChain:
             return real(self, other)
 
         monkeypatch.setattr(MonomialIdeal, "multiply", counting)
-        rep = sdefect_cycle(7, 8)
+        rep = sdefect_cycle(cycle(7), 8)
         # the chain of sums of staircase covers: no power S^k is built
         assert calls == []
         assert rep.value == sdefect_brute(cycle(7), 8).value
@@ -520,7 +536,7 @@ class TestPowerChain:
                 assert np.array_equal(_decomposable_covers(G, k, S)[0], expected), (n, k)
                 levels.append(len(expected))
             for m in range(1, m_max + 1):
-                assert sdefect_cycle(n, m).value == sum(levels[m % 2 : m - 1 : 2]), (n, m)
+                assert sdefect_cycle(cycle(n), m).value == sum(levels[m % 2 : m - 1 : 2]), (n, m)
 
 
 class TestTriangleTail:
