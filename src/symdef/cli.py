@@ -383,8 +383,8 @@ def main(argv=None) -> int:
             input_desc, results, warnings, code = args.func(args)
         _emit(args, input_desc, results, warnings, started)
         return code
-    except monomials.GeneratorCapExceeded as exc:
-        print(f"error: {exc}", file=sys.stderr)
+    except (monomials.GeneratorCapExceeded, MemoryError) as exc:
+        print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
     except (CLIInputError, graphs.GraphTooLargeError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 from typing import Iterable
 
 # Every graph is refused above this many vertices.  Each generator of an
-# ideal on the graph is an n-wide row, and the largest graphs whose
-# ideals the tests, the README, CI and the benchmark build have 19 vertices.
+# ideal on the graph is an n-wide row, and the largest graph the tests
+# build has 41 vertices: the C41 whose J^(2) exhausts memory on purpose.
 MAX_VERTICES = 100
 
 

@@ -350,6 +350,8 @@ def test_ordinary_power_is_built_in_a_loop():
     _power_chains.cache_clear()
     with pytest.raises(GeneratorCapExceeded):
         ordinary_power(cycle(5), 1200)
+    with pytest.raises(GeneratorCapExceeded):
+        ordinary_power(complete(2), 10**6)
     G = Graph.from_edges(1, [])
     with pytest.raises(ValueError, match="needs 0 <= m <= "):
         ordinary_power(G, 2**63)
