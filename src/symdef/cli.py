@@ -1,8 +1,8 @@
 """Command-line front end: graph ingestion, computation dispatch,
 machine-readable reports, and identity-verification sweeps.
 
-Exit codes: 0 success, 2 verification mismatch, 3 resource cap exceeded,
-4 input error.
+Exit codes: 0 success, 2 verification mismatch, 3 resource cap exceeded
+or memory exhausted, 4 input error.
 """
 from __future__ import annotations
 
@@ -46,6 +46,16 @@ def _parse_range(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_n_range(text: str, extra: int = 0) -> tuple[int, int]:
+    """An --n range whose largest graph, on n + `extra` vertices, is not
+    past graphs.MAX_VERTICES."""
+    lo, hi = _parse_range(text)
+    if hi + extra > graphs.MAX_VERTICES:
+        raise graphs.GraphTooLargeError(
+            f"{hi + extra} vertices: graphs are limited to {graphs.MAX_VERTICES}")
+    return lo, hi
+
+
 def _parse_m_range(text: str, n: int) -> tuple[int, int]:
     lo, hi = _parse_range(text)
     if lo < 1:
@@ -55,15 +65,14 @@ def _parse_m_range(text: str, n: int) -> tuple[int, int]:
 
 
 def _load_graph(args) -> graphs.Graph:
-    if getattr(args, "family", None):
+    if args.graph is None:
         return graphs.parse_family(args.family)
-    path = getattr(args, "graph", None)
-    if not path:
-        raise CLIInputError("one graph source is required: --family or --graph")
     try:
-        return graphs.Graph.from_json_file(path)
+        return graphs.Graph.from_json_file(args.graph)
+    except graphs.GraphTooLargeError:  # a ValueError, but not a malformed file
+        raise
     except (OSError, ValueError, KeyError, TypeError, RecursionError) as exc:
-        raise CLIInputError(f"cannot read graph from {path}: {exc}") from exc
+        raise CLIInputError(f"cannot read graph from {args.graph}: {exc}") from exc
 
 
 def _as_text(value):
@@ -129,7 +138,7 @@ def _cmd_cover_ideal(args):
 
 
 def _graph_desc(args, G: graphs.Graph):
-    source = args.family if getattr(args, "family", None) else getattr(args, "graph", None)
+    source = args.family if args.graph is None else args.graph
     return {"source": source, "n": G.n, "edges": [[i + 1, j + 1] for i, j in G.edge_list()]}
 
 
@@ -234,144 +243,126 @@ def _cmd_classify2(args):
     return _graph_desc(args, G), results, warnings, EXIT_MISMATCH if disagree else EXIT_OK
 
 
-# the options each identity of `verify` reads; it refuses any other
-_VERIFY_READS = {
-    "kn": ("--n", "--m"),
-    "cycle": ("--n", "--m"),
-    "triangle-tail": ("--n",),
-    "decomposition": ("--family", "--graph", "--m"),
-    "classification": ("--family", "--graph"),
-}
+# each identity of `verify` is one sweep: it returns (input, rows), each row with its "pass"
+def _verify_kn(args):
+    n_lo, n_hi = _parse_n_range(args.n)
+    m_lo, m_hi = _parse_m_range(args.m, n_hi)
+    if n_lo < 3:
+        raise CLIInputError("the K_n closed form needs n >= 3; compute sdefect directly below that")
+    results = []
+    for n in range(n_lo, n_hi + 1):
+        G = graphs.complete(n)
+        for m in range(m_lo, m_hi + 1):
+            got = sdefect.sdefect_brute(G, m).value
+            k, parity = divmod(m - 1, 2)
+            expected = n * k + 1 if parity == 1 else n * k
+            results.append({"n": n, "m": m, "got": got, "expected": expected, "pass": got == expected})
+    return {"n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}, results
+
+
+def _verify_cycle(args):
+    n_lo, n_hi = _parse_n_range(args.n)
+    m_lo, m_hi = _parse_m_range(args.m, n_hi)
+    results = []
+    for n in range(n_lo, n_hi + 1):
+        if n % 2 == 0:
+            continue
+        G = graphs.cycle(n)
+        for m in range(m_lo, m_hi + 1):
+            got = sdefect.sdefect_cycle(G, m).value
+            expected = sdefect.sdefect_brute(G, m).value
+            results.append({"n": n, "m": m, "recursion": got, "brute": expected, "pass": got == expected})
+    return {"n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}, results
+
+
+def _verify_triangle_tail(args):
+    n_lo, n_hi = _parse_n_range(args.n, extra=3)  # T_n has n + 3 vertices
+    results = []
+    for n in range(n_lo, n_hi + 1):
+        rep = sdefect.verify_triangle_tail(n)
+        results.append({"n": n, "left": rep.left, "right": rep.right_by_convention,
+                        "convention": rep.convention or "none", "pass": rep.holds})
+    return {"n": f"{n_lo}..{n_hi}"}, results
+
+
+def _verify_decomposition(args):
+    G = _load_graph(args)
+    m_lo, m_hi = _parse_m_range(args.m, G.n)
+    if m_lo < 3:
+        raise CLIInputError(
+            f"verify decomposition: no instance in range at m = {m_lo}; "
+            "the identity J^(m) = J^m + J^(2) J^(m-2) needs m >= 3"
+        )
+    results = []
+    for m in range(m_lo, m_hi + 1):
+        lhs = covers.symbolic_power(G, m)
+        rhs = covers.ordinary_power(G, m).add(
+            covers.symbolic_power(G, 2).multiply(covers.symbolic_power(G, m - 2))
+        )
+        results.append({"m": m, "pass": lhs == rhs})
+    return _graph_desc(args, G), results
+
+
+def _verify_classification(args):
+    G = _load_graph(args)
+    rows = [{"cover": r["cover"], "kind": r["kind"], "pass": r["agrees"]} for r in _classification_rows(G)]
+    return _graph_desc(args, G), rows
 
 
 def _cmd_verify(args):
-    identity = args.identity
-    reads = _VERIFY_READS[identity]
-    given = [opt for opt in ("--family", "--graph", "--n", "--m") if getattr(args, opt[2:])]
-    unread = [opt for opt in given if opt not in reads]
-    if unread:
-        raise CLIInputError(
-            f"verify {identity} reads only {', '.join(reads)}; it reads no {' or '.join(unread)}"
-        )
-    results = []
-    if identity == "kn":
-        n_lo, n_hi = _parse_range(args.n or "3..5")
-        m_lo, m_hi = _parse_m_range(args.m or "2..8", n_hi)
-        if n_lo < 3:
-            raise CLIInputError(
-                "the K_n closed form needs n >= 3; compute sdefect directly below that"
-            )
-        for n in range(n_lo, n_hi + 1):
-            G = graphs.complete(n)
-            for m in range(m_lo, m_hi + 1):
-                got = sdefect.sdefect_brute(G, m).value
-                k, parity = divmod(m - 1, 2)
-                expected = n * k + 1 if parity == 1 else n * k
-                passed = got == expected
-                results.append({"n": n, "m": m, "got": got, "expected": expected, "pass": passed})
-        input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
-    elif identity == "cycle":
-        n_lo, n_hi = _parse_range(args.n or "5..7")
-        m_lo, m_hi = _parse_m_range(args.m or "2..5", n_hi)
-        for n in range(n_lo, n_hi + 1):
-            if n % 2 == 0:
-                continue
-            G = graphs.cycle(n)
-            for m in range(m_lo, m_hi + 1):
-                got = sdefect.sdefect_cycle(G, m).value
-                expected = sdefect.sdefect_brute(G, m).value
-                passed = got == expected
-                results.append({"n": n, "m": m, "recursion": got, "brute": expected, "pass": passed})
-        input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}", "m": f"{m_lo}..{m_hi}"}
-    elif identity == "triangle-tail":
-        n_lo, n_hi = _parse_range(args.n or "5..7")
-        for n in range(n_lo, n_hi + 1):
-            rep = sdefect.verify_triangle_tail(n)
-            results.append(
-                {
-                    "n": n,
-                    "left": rep.left,
-                    "right": rep.right_by_convention,
-                    "convention": rep.convention or "none",
-                    "pass": rep.holds,
-                }
-            )
-        input_desc = {"identity": identity, "n": f"{n_lo}..{n_hi}"}
-    elif identity == "decomposition":
-        G = _load_graph(args)
-        m_lo, m_hi = _parse_m_range(args.m or "3..5", G.n)
-        if m_lo < 3:
-            raise CLIInputError(
-                f"verify decomposition: no instance in range at m = {m_lo}; "
-                "the identity J^(m) = J^m + J^(2) J^(m-2) needs m >= 3"
-            )
-        for m in range(m_lo, m_hi + 1):
-            lhs = covers.symbolic_power(G, m)
-            rhs = covers.ordinary_power(G, m).add(
-                covers.symbolic_power(G, 2).multiply(covers.symbolic_power(G, m - 2))
-            )
-            passed = lhs == rhs
-            results.append({"m": m, "pass": passed})
-        input_desc = {"identity": identity, **_graph_desc(args, G)}
-    else:  # classification; argparse admits no other identity
-        G = _load_graph(args)
-        for row in _classification_rows(G):
-            results.append({"cover": row["cover"], "kind": row["kind"], "pass": row["agrees"]})
-        input_desc = {"identity": identity, **_graph_desc(args, G)}
+    input_desc, results = args.sweep(args)
     if not results:
-        raise CLIInputError(f"verify {identity}: no instance in range")
+        raise CLIInputError(f"verify {args.identity}: no instance in range")
     ok = all(row["pass"] for row in results)
     warnings = [] if ok else ["verification failed for at least one instance"]
-    return input_desc, results, warnings, EXIT_OK if ok else EXIT_MISMATCH
+    return {"identity": args.identity, **input_desc}, results, warnings, EXIT_OK if ok else EXIT_MISMATCH
 
 
 # ---------------------------------------------------------------------------
-# argument wiring
+# argument wiring: each command declares exactly the options it reads, so
+# argparse refuses any other ("unrecognized arguments") and a missing graph
 
 
-def _add_common(p, needs_m=False):
+def _add_command(sub, name, func, summary, graph=True, **ranges):
+    """Sub-command `name`: --format, --max-gens, a required --family or
+    --graph if `graph`, and an option per range, of the given default
+    (None: required)."""
+    p = sub.add_parser(name, help=summary)
     p.add_argument("--format", choices=("json", "tsv", "pretty"), default="pretty")
     p.add_argument("--max-gens", type=int, default=monomials._DEFAULT_GENERATOR_CAP,
                    help="generator cap: the most rows one step may count (default: %(default)s)")
-    src = p.add_mutually_exclusive_group()
-    src.add_argument("--family", help='family shorthand, e.g. "K5", "C7", "P4", "T3"')
-    src.add_argument("--graph", help="path to a graph JSON file")
-    if needs_m:
-        p.add_argument("--m", required=True, help='m value or range, e.g. "3" or "1..6"')
+    if graph:
+        src = p.add_mutually_exclusive_group(required=True)
+        src.add_argument("--family", help='family shorthand, e.g. "K5", "C7", "P4", "T3"')
+        src.add_argument("--graph", help="path to a graph JSON file")
+    for opt, default in ranges.items():
+        text = {"n": 'vertex-count range, e.g. "3..5"', "m": 'm value or range, e.g. "3" or "1..6"'}[opt]
+        text += "" if default is None else " (default: %(default)s)"
+        p.add_argument(f"--{opt}", required=default is None, default=default, help=text)
+    p.set_defaults(func=func)
+    return p
 
 
 def build_parser() -> _Parser:
     parser = _Parser(prog="symdef", description=__doc__)
     sub = parser.add_subparsers(dest="cmd", required=True)
-
-    p = sub.add_parser("cover-ideal", help="minimal generators, mu, alpha")
-    _add_common(p)
-    p.set_defaults(func=_cmd_cover_ideal)
-
-    p = sub.add_parser("sdefect", help="symbolic defect over an m-range")
-    _add_common(p, needs_m=True)
+    _add_command(sub, "cover-ideal", _cmd_cover_ideal, "minimal generators, mu, alpha")
+    p = _add_command(sub, "sdefect", _cmd_sdefect, "symbolic defect over an m-range", m=None)
     p.add_argument("--method", choices=(*_METHODS, "all"), default="brute")
-    p.set_defaults(func=_cmd_sdefect)
+    _add_command(sub, "waldschmidt", _cmd_waldschmidt, "Waldschmidt constant and resurgence bound")
+    _add_command(sub, "fit", _cmd_fit, "quasi-polynomial fit of the sdefect sequence", m=None)
+    _add_command(sub, "classify2", _cmd_classify2, "classify all minimal 2-covers")
 
-    p = sub.add_parser("waldschmidt", help="Waldschmidt constant and resurgence bound")
-    _add_common(p)
-    p.set_defaults(func=_cmd_waldschmidt)
-
-    p = sub.add_parser("fit", help="quasi-polynomial fit of the sdefect sequence")
-    _add_common(p, needs_m=True)
-    p.set_defaults(func=_cmd_fit)
-
-    p = sub.add_parser("classify2", help="classify all minimal 2-covers")
-    _add_common(p)
-    p.set_defaults(func=_cmd_classify2)
-
-    p = sub.add_parser("verify", help="verify a known identity over a sweep")
-    p.add_argument("identity", choices=("kn", "cycle", "triangle-tail", "decomposition", "classification"))
-    p.add_argument("--n", help='vertex-count range, e.g. "3..5"')
-    _add_common(p, needs_m=False)
-    p.add_argument("--m", help='m range, e.g. "2..8"')
-    p.set_defaults(func=_cmd_verify)
-
+    verify = sub.add_parser("verify", help="verify a known identity over a sweep")
+    identities = verify.add_subparsers(dest="identity", required=True)
+    for name, sweep, summary, graph, ranges in (
+        ("kn", _verify_kn, "the K_n closed form", False, {"n": "3..5", "m": "2..8"}),
+        ("cycle", _verify_cycle, "the odd-cycle recursion", False, {"n": "5..7", "m": "2..5"}),
+        ("triangle-tail", _verify_triangle_tail, "the triangle-tail recursion", False, {"n": "5..7"}),
+        ("decomposition", _verify_decomposition, "J^(m) = J^m + J^(2) J^(m-2)", True, {"m": "3..5"}),
+        ("classification", _verify_classification, "the 2-cover classification", True, {}),
+    ):
+        _add_command(identities, name, _cmd_verify, summary, graph, **ranges).set_defaults(sweep=sweep)
     return parser
 
 
@@ -386,7 +377,7 @@ def main(argv=None) -> int:
     except (monomials.GeneratorCapExceeded, MemoryError) as exc:
         print(f"error: {str(exc) or 'out of memory'}", file=sys.stderr)
         return EXIT_RESOURCE
-    except (CLIInputError, graphs.GraphTooLargeError, ValueError) as exc:
+    except (CLIInputError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INPUT
 

@@ -16,7 +16,7 @@ from typing import Iterable
 MAX_VERTICES = 100
 
 
-class GraphTooLargeError(RuntimeError):
+class GraphTooLargeError(ValueError):
     """A graph has more than MAX_VERTICES vertices."""
 
 

@@ -426,8 +426,9 @@ class TestInputErrors:
         assert code == EXIT_INPUT and "Q9" in err
 
     def test_missing_graph_source(self, capsys):
-        code, _, err = run(capsys, "cover-ideal")
-        assert code == EXIT_INPUT and "graph source" in err
+        code, out, err = run(capsys, "cover-ideal")
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == "error: one of the arguments --family --graph is required\n"
 
     def test_unreadable_graph_file(self, capsys):
         code, _, err = run(capsys, "cover-ideal", "--graph", "/no/such/file.json")
@@ -486,21 +487,59 @@ class TestInputErrors:
         # these identities sweep their own graphs over --n
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith(f"error: verify {argv[0]} ")
+        assert f"unrecognized arguments: {argv[-2]} {argv[-1]}" in err
 
     @pytest.mark.parametrize(
-        "argv",
+        "argv, unread",
         [
-            ["triangle-tail", "--n", "5..5", "--m", "2..3"],
-            ["decomposition", "--family", "C5", "--n", "9..9", "--m", "3..3"],
-            ["classification", "--family", "C5", "--n", "9..9", "--m", "7"],
+            (["triangle-tail", "--n", "5..5", "--m", "2..3"], "--m 2..3"),
+            (["decomposition", "--family", "C5", "--n", "9..9", "--m", "3..3"], "--n 9..9"),
+            (["classification", "--family", "C5", "--n", "9..9", "--m", "7"], "--n 9..9 --m 7"),
         ],
         ids=["triangle-tail", "decomposition", "classification"],
     )
-    def test_verify_refuses_a_range_it_does_not_read(self, capsys, argv):
+    def test_verify_refuses_a_range_it_does_not_read(self, capsys, argv, unread):
         code, out, err = run(capsys, "verify", *argv)
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith(f"error: verify {argv[0]} ")
+        assert f"unrecognized arguments: {unread}" in err
+
+    @pytest.mark.parametrize(
+        "identity, reads",
+        [
+            ("kn", {"--n": "3..5", "--m": "2..8"}),
+            ("cycle", {"--n": "5..7", "--m": "2..5"}),
+            ("triangle-tail", {"--n": "5..7"}),
+            ("decomposition", {"--family": None, "--graph": None, "--m": "3..5"}),
+            ("classification", {"--family": None, "--graph": None}),
+        ],
+        ids=["kn", "cycle", "triangle-tail", "decomposition", "classification"],
+    )
+    def test_verify_help_lists_only_what_the_identity_reads(self, capsys, identity, reads):
+        with pytest.raises(SystemExit) as exit_:
+            main(["verify", identity, "--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert exit_.value.code == 0
+        assert set(re.findall(r"(?<![\w-])--[a-z-]+", out)) == {"--help", "--format", "--max-gens", *reads}
+        for option, default in reads.items():
+            if default is not None:
+                assert re.search(rf"{option} [A-Z]+ [^()]*\(default: {re.escape(default)}\)", out), out
+
+    @pytest.mark.parametrize(
+        "argv, vertices",
+        [
+            (["kn", "--n", "3..200", "--m", "2..3"], 200),
+            (["cycle", "--n", "5..201", "--m", "2..3"], 201),
+            (["triangle-tail", "--n", "5..98"], 101),  # T_n has n + 3 vertices
+        ],
+        ids=["kn", "cycle", "triangle-tail"],
+    )
+    def test_verify_n_past_vertex_bound(self, capsys, monkeypatch, argv, vertices):
+        # refused before any graph of the sweep is computed
+        for name in ("sdefect_brute", "sdefect_cycle", "verify_triangle_tail"):
+            monkeypatch.setattr(sdefect, name, None)
+        code, out, err = run(capsys, "verify", *argv)
+        assert (code, out) == (EXIT_INPUT, "")
+        assert err == f"error: {vertices} vertices: graphs are limited to {MAX_VERTICES}\n"
 
     @pytest.mark.parametrize(
         "argv",
@@ -656,6 +695,12 @@ class TestResourceCap:
         monkeypatch.setattr(asymptotics, "waldschmidt", exhaust)
         code, out, err = run(capsys, "waldschmidt", "--family", "C5")
         assert (code, out, err) == (EXIT_RESOURCE, "", "error: out of memory\n")
+
+    def test_help_names_memory(self, capsys):
+        with pytest.raises(SystemExit):
+            main(["--help"])
+        out = " ".join(capsys.readouterr().out.split())
+        assert "3 resource cap exceeded or memory exhausted" in out
 
     def test_flag_does_not_outlive_the_call(self, capsys):
         run(capsys, "cover-ideal", "--family", "C5", "--max-gens", "0")

@@ -56,6 +56,10 @@ CASES = [
     # not odd cycles: an even cycle, and two disjoint triangles (every degree 2)
     ("cycle-method-C4", "sdefect --family C4 --m 2 --method cycle", 4, None),
     ("cycle-method-2C3", "sdefect --graph two_triangles.json --m 2 --method cycle", 4, None),
+    # an --n whose largest graph is past graphs.MAX_VERTICES, refused before any n is computed
+    ("kn-n-past-bound", "verify kn --n 3..200 --m 2..3", 4, None),
+    ("cycle-n-past-bound", "verify cycle --n 5..201 --m 2..3", 4, None),
+    ("triangle-tail-n-past-bound", "verify triangle-tail --n 5..200", 4, None),
 ]
 
 
