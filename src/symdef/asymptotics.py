@@ -8,7 +8,7 @@ from typing import Sequence
 
 from .covers import cover_ideal, symbolic_power
 from .graphs import Graph
-from .monomials import AmbientMismatchError, Monomial, MonomialIdeal
+from .monomials import Monomial, MonomialIdeal, _check_ambient
 from .sdefect import (
     UNIQUE_EXTRA_2COVER,
     PreconditionError,
@@ -36,7 +36,7 @@ def _poly_eval(p: Poly, m: int) -> Fraction:
     return acc
 
 
-def _poly_str(p: Poly, var: str = "m") -> str:
+def _poly_str(p: Poly) -> str:
     if not any(p):
         return "0"
     terms = []
@@ -44,7 +44,7 @@ def _poly_str(p: Poly, var: str = "m") -> str:
         c = p[i]
         if not c:
             continue
-        mono = "" if i == 0 else (var if i == 1 else f"{var}^{i}")
+        mono = "" if i == 0 else ("m" if i == 1 else f"m^{i}")
         if i == 0:
             body = str(abs(c))
         elif abs(c) == 1:
@@ -79,10 +79,8 @@ def _interpolate(points: Sequence[tuple[int, int]]) -> Poly:
     """Exact interpolating polynomial through the given (m, value) points,
     read off the reduced Vandermonde system [m^0 ... m^(k-1) | value]."""
     k = len(points)
-    coeffs = [row[-1] for row in _row_reduce([[m**d for d in range(k)] + [v] for m, v in points])]
-    while len(coeffs) > 1 and not coeffs[-1]:
-        coeffs.pop()
-    return tuple(coeffs)
+    rows = _row_reduce([[m**d for d in range(k)] + [v] for m, v in points])
+    return tuple(row[-1] for row in rows)
 
 
 @dataclass(frozen=True)
@@ -117,6 +115,8 @@ def _fit_class(points: list[tuple[int, int]]) -> tuple[Poly, int, int]:
     the last D+1 points also reproduces the point before them.
     """
     for D in range(0, len(points) - 1):
+        # every lower degree was refused, so none fits these D + 1 points:
+        # poly has degree D, with no zero top coefficient to trim
         poly = _interpolate(points[-(D + 1):])
         if _poly_eval(poly, points[-(D + 2)][0]) != points[-(D + 2)][1]:
             continue
@@ -243,8 +243,7 @@ def jacobian_rank_full(gens: Sequence[Monomial]) -> bool:
         raise ValueError("need at least one generator")
     n = gens[0].n
     for g in gens:
-        if g.n != n:
-            raise AmbientMismatchError(f"ambient sizes differ: {n} vs {g.n}")
+        _check_ambient(n, g.n)
         if not g.is_squarefree():
             raise ValueError(f"generator {g} is not squarefree")
     if len(gens) > n:

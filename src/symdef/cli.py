@@ -35,33 +35,33 @@ class _Parser(argparse.ArgumentParser):
         raise CLIInputError(message)
 
 
-def _parse_range(text: str) -> tuple[int, int]:
-    if ".." in text:
-        lo, hi = text.split("..", 1)
-        lo, hi = int(lo), int(hi)
-    else:
-        lo = hi = int(text)
+def _range(text: str) -> tuple[int, int]:
+    """The argparse type of --n and --m: k or lo..hi, as (lo, hi).  A
+    malformed or empty range raises ArgumentTypeError, which argparse
+    reports under the option's name."""
+    lo, dots, hi = text.partition("..")
+    try:
+        lo, hi = int(lo), int(hi if dots else lo)
+    except ValueError:
+        raise argparse.ArgumentTypeError(f"expected k or lo..hi, got {text!r}") from None
     if lo > hi:
-        raise CLIInputError(f"empty range {text!r}")
+        raise argparse.ArgumentTypeError(f"empty range {text!r}")
     return lo, hi
 
 
-def _parse_n_range(text: str, extra: int = 0) -> tuple[int, int]:
+def _check_n_range(n_range: tuple[int, int], extra: int = 0) -> tuple[int, int]:
     """An --n range whose largest graph, on n + `extra` vertices, is not
     past graphs.MAX_VERTICES."""
-    lo, hi = _parse_range(text)
-    if hi + extra > graphs.MAX_VERTICES:
-        raise graphs.GraphTooLargeError(
-            f"{hi + extra} vertices: graphs are limited to {graphs.MAX_VERTICES}")
-    return lo, hi
+    if n_range[1] + extra > graphs.MAX_VERTICES:
+        raise graphs.GraphTooLargeError(n_range[1] + extra)
+    return n_range
 
 
-def _parse_m_range(text: str, n: int) -> tuple[int, int]:
-    lo, hi = _parse_range(text)
-    if lo < 1:
+def _check_m_range(m_range: tuple[int, int], n: int) -> tuple[int, int]:
+    if m_range[0] < 1:
         raise CLIInputError("m range must start at 1 or above")
-    covers._check_power_range("symbolic", n, hi)
-    return lo, hi
+    covers._check_power_range("symbolic", n, m_range[1])
+    return m_range
 
 
 def _load_graph(args) -> graphs.Graph:
@@ -148,7 +148,7 @@ _METHODS = {"brute": "sdefect_brute", "recursion": "sdefect_recursive", "cycle":
 
 def _cmd_sdefect(args):
     G = _load_graph(args)
-    lo, hi = _parse_m_range(args.m, G.n)
+    lo, hi = _check_m_range(args.m, G.n)
     methods = list(_METHODS) if args.method == "all" else [args.method]
     results, warnings = [], []
     mismatch = False
@@ -195,7 +195,7 @@ def _cmd_waldschmidt(args):
 
 def _cmd_fit(args):
     G = _load_graph(args)
-    lo, hi = _parse_m_range(args.m, G.n)
+    lo, hi = _check_m_range(args.m, G.n)
     seq = [sdefect.sdefect_brute(G, m).value for m in range(lo, hi + 1)]
     # the symbolic Rees algebra of J(G) is generated in degree <= 2, so the period divides 2
     try:
@@ -245,8 +245,8 @@ def _cmd_classify2(args):
 
 # each identity of `verify` is one sweep: it returns (input, rows), each row with its "pass"
 def _verify_kn(args):
-    n_lo, n_hi = _parse_n_range(args.n)
-    m_lo, m_hi = _parse_m_range(args.m, n_hi)
+    n_lo, n_hi = _check_n_range(args.n)
+    m_lo, m_hi = _check_m_range(args.m, n_hi)
     if n_lo < 3:
         raise CLIInputError("the K_n closed form needs n >= 3; compute sdefect directly below that")
     results = []
@@ -261,8 +261,8 @@ def _verify_kn(args):
 
 
 def _verify_cycle(args):
-    n_lo, n_hi = _parse_n_range(args.n)
-    m_lo, m_hi = _parse_m_range(args.m, n_hi)
+    n_lo, n_hi = _check_n_range(args.n)
+    m_lo, m_hi = _check_m_range(args.m, n_hi)
     results = []
     for n in range(n_lo, n_hi + 1):
         if n % 2 == 0:
@@ -276,7 +276,7 @@ def _verify_cycle(args):
 
 
 def _verify_triangle_tail(args):
-    n_lo, n_hi = _parse_n_range(args.n, extra=3)  # T_n has n + 3 vertices
+    n_lo, n_hi = _check_n_range(args.n, extra=3)  # T_n has n + 3 vertices
     results = []
     for n in range(n_lo, n_hi + 1):
         rep = sdefect.verify_triangle_tail(n)
@@ -287,7 +287,7 @@ def _verify_triangle_tail(args):
 
 def _verify_decomposition(args):
     G = _load_graph(args)
-    m_lo, m_hi = _parse_m_range(args.m, G.n)
+    m_lo, m_hi = _check_m_range(args.m, G.n)
     if m_lo < 3:
         raise CLIInputError(
             f"verify decomposition: no instance in range at m = {m_lo}; "
@@ -338,7 +338,8 @@ def _add_command(sub, name, func, summary, graph=True, **ranges):
     for opt, default in ranges.items():
         text = {"n": 'vertex-count range, e.g. "3..5"', "m": 'm value or range, e.g. "3" or "1..6"'}[opt]
         text += "" if default is None else " (default: %(default)s)"
-        p.add_argument(f"--{opt}", required=default is None, default=default, help=text)
+        p.add_argument(f"--{opt}", type=_range, required=default is None, default=default,
+                       help=text)
     p.set_defaults(func=func)
     return p
 

@@ -2,6 +2,7 @@
 classification of indecomposable 2-covers."""
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import product as iter_product
@@ -58,9 +59,10 @@ def _row_dtype(m: int) -> np.dtype:
 
 
 def _check_power_range(kind: str, n: int, m: int) -> None:
-    """Refuse an m whose rows int64 cannot hold: a power of J has
-    exponents <= m in n columns, and the partial rows of `symbolic_power`
-    hold 2m."""
+    """Refuse an m that is not an int (TypeError), or whose rows int64
+    cannot hold: a power of J has exponents <= m in n columns, and the
+    partial rows of `symbolic_power` hold 2m."""
+    operator.index(m)
     top = monomials.EXPONENT_BOUND // max(n, 2)
     if not 0 <= m <= top:
         raise ValueError(f"{kind} power on {n} vertices needs 0 <= m <= {top}, got {m}")
@@ -180,7 +182,9 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     duplicates.
     The levels are kept in `_cover_sum_chains`, one chain per (cap, G,
     base), grown one level at a time under `_chain_lock`; before each
-    level, the rows held and then its pairs count against the cap.
+    level, the rows held and then its pairs count against the cap.  Each
+    link carries the rows held through its level, so that count is read,
+    not re-summed, and a chain of m small levels costs O(m).
 
     Level k is held in `_row_dtype(k)`: a minimal (k-1)-cover plus a
     0/1 cover has entries at most k, and `_minimal_cover_rows` adds two
@@ -189,8 +193,8 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
     chain = _cover_sum_chains(G, base)
     with _chain_lock:
         for k in range(len(chain), m + 1):
-            _check_cap(sum(len(D) for D, _ in chain))
-            prev, prev_last = chain[-1]
+            prev, prev_last, held = chain[-1]
+            _check_cap(held)
             order = np.argsort(prev_last, kind="stable")
             # c_j sums with the first counts[j] rows in `order`
             counts = np.searchsorted(prev_last[order], np.arange(len(base)), side="right")
@@ -211,16 +215,17 @@ def _decomposable_covers(G: Graph, m: int, base: MonomialIdeal) -> tuple[np.ndar
             del pair, j, cand, ok  # the level's dedup needs only the kept rows
             kept = np.concatenate(kept)
             out, *_, first = _distinct_rows(kept)
-            chain.append((out, np.concatenate(tops)[first]))
-    return chain[m]
+            chain.append((out, np.concatenate(tops)[first], held + len(out)))
+    return chain[m][:2]
 
 
 @_capped_cache
-def _cover_sum_chains(G: Graph, base: MonomialIdeal) -> list[tuple[np.ndarray, np.ndarray]]:
-    """(D_0, last), (D_1, last), ... of G and base, as far as
-    `_decomposable_covers` has built them; only a few chains are kept."""
-    empty = np.zeros((1, G.n), dtype=_row_dtype(0)), np.zeros(1, dtype=np.intp)
-    return [empty, (base._arr.astype(_row_dtype(1)), np.arange(len(base)))]
+def _cover_sum_chains(G: Graph, base: MonomialIdeal) -> list[tuple[np.ndarray, np.ndarray, int]]:
+    """(D_0, last, held), (D_1, last, held), ... of G and base, as far as
+    `_decomposable_covers` has built them, where held counts the rows of
+    D_0 through this level; only a few chains are kept."""
+    empty = np.zeros((1, G.n), dtype=_row_dtype(0)), np.zeros(1, dtype=np.intp), 1
+    return [empty, (base._arr.astype(_row_dtype(1)), np.arange(len(base)), 1 + len(base))]
 
 
 def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
@@ -231,14 +236,9 @@ def ordinary_power(G: Graph, m: int) -> MonomialIdeal:
     return cover_ideal(G).power(m)
 
 
-def _check_ring(G: Graph, f: Monomial) -> None:
-    if f.n != G.n:
-        raise ValueError(f"monomial on {f.n} variables, graph on {G.n}")
-
-
 def is_m_cover(G: Graph, f: Monomial, m: int) -> bool:
     """True iff the exponents of f sum to at least m on every edge."""
-    _check_ring(G, f)
+    monomials._check_ambient(f.n, G.n)
     return all(f.exps[i] + f.exps[j] >= m for i, j in G.edges)
 
 
@@ -266,7 +266,7 @@ def is_minimal_mcover(G: Graph, f: Monomial, m: int) -> bool:
     `_minimal_cover_rows`: an m-cover in which every vertex with e_v > 0
     lies on a tight edge, e_u + e_v = m.  One pass over the edges; J^(m)
     is not built."""
-    _check_ring(G, f)
+    monomials._check_ambient(f.n, G.n)
     _check_power_range("symbolic", G.n, m)
     e, tight = f.exps, 0
     for u, v in G.edges:

@@ -19,6 +19,9 @@ MAX_VERTICES = 100
 class GraphTooLargeError(ValueError):
     """A graph has more than MAX_VERTICES vertices."""
 
+    def __init__(self, n: int):
+        super().__init__(f"{n} vertices: graphs are limited to {MAX_VERTICES}")
+
 
 def _json_int(value) -> int:
     """A JSON integer as is; a bool, float, string or null is refused."""
@@ -36,9 +39,7 @@ class Graph:
         if self.n < 0:
             raise ValueError(f"n = {self.n}: a graph needs n >= 0 vertices")
         if self.n > MAX_VERTICES:
-            raise GraphTooLargeError(
-                f"{self.n} vertices: graphs are limited to {MAX_VERTICES}"
-            )
+            raise GraphTooLargeError(self.n)
         norm = set()
         for e in self.edges:
             i, j = e

@@ -19,6 +19,7 @@ lexsort on the degree and the packed words.
 """
 from __future__ import annotations
 
+import operator
 import threading
 from contextlib import contextmanager
 from contextvars import ContextVar
@@ -40,6 +41,22 @@ _BLOCK_WORDS = 1 << 16
 
 class AmbientMismatchError(ValueError):
     """Two values live in polynomial rings with different variable counts."""
+
+
+def _check_ambient(n: int, other: int) -> None:
+    """Refuse two ambient sizes that differ: every check of a ring size."""
+    if n != other:
+        raise AmbientMismatchError(f"ambient sizes differ: {n} vs {other}")
+
+
+def _exponents(values: Iterable) -> tuple[int, ...]:
+    """An exponent vector as a tuple of ints.  Each entry is read with
+    `operator.index`, so a float raises TypeError instead of being
+    truncated; a negative entry raises ValueError."""
+    exps = tuple(map(operator.index, values))
+    if any(e < 0 for e in exps):
+        raise ValueError(f"negative exponent in {exps}")
+    return exps
 
 
 class ExponentBoundError(ValueError):
@@ -72,10 +89,12 @@ class GeneratorCapExceeded(RuntimeError):
 def generator_cap(cap: int) -> Iterator[None]:
     """Bound every intermediate generating set by `cap` inside the block;
     the previous cap comes back on exit.  The cap is per context: a new
-    thread starts at the default."""
+    thread starts at the default.  A cap that is not an int raises
+    TypeError."""
+    cap = operator.index(cap)
     if cap < 0:
         raise ValueError(f"generator cap must be >= 0, got {cap}")
-    token = _generator_cap.set(int(cap))
+    token = _generator_cap.set(cap)
     try:
         yield
     finally:
@@ -83,10 +102,11 @@ def generator_cap(cap: int) -> Iterator[None]:
 
 
 def _capped_cache(fn):
-    """`lru_cache(maxsize=16)` of `fn`, keyed on the generator cap in force
-    and the arguments: an answer, or a refusal, depends on those alone, so
-    no change of cap needs to empty the cache."""
-    cached = lru_cache(maxsize=16)(lambda cap, *args: fn(*args))
+    """`lru_cache(maxsize=16, typed=True)` of `fn`, keyed on the generator
+    cap in force and the arguments: an answer, or a refusal, depends on
+    those alone, so no change of cap needs to empty the cache.  Typed, so
+    that an m of 2.0 is not answered from the entry of 2."""
+    cached = lru_cache(maxsize=16, typed=True)(lambda cap, *args: fn(*args))
 
     @wraps(fn)
     def wrapper(*args):
@@ -106,9 +126,7 @@ class Monomial:
     exps: tuple[int, ...]
 
     def __post_init__(self):
-        object.__setattr__(self, "exps", tuple(int(e) for e in self.exps))
-        if any(e < 0 for e in self.exps):
-            raise ValueError(f"negative exponent in {self.exps}")
+        object.__setattr__(self, "exps", _exponents(self.exps))
 
     @property
     def n(self) -> int:
@@ -118,22 +136,16 @@ class Monomial:
     def degree(self) -> int:
         return sum(self.exps)
 
-    def _check_ambient(self, other: "Monomial") -> None:
-        if len(self.exps) != len(other.exps):
-            raise AmbientMismatchError(
-                f"ambient sizes differ: {len(self.exps)} vs {len(other.exps)}"
-            )
-
     def divides(self, other: "Monomial") -> bool:
-        self._check_ambient(other)
+        _check_ambient(self.n, other.n)
         return all(a <= b for a, b in zip(self.exps, other.exps))
 
     def lcm(self, other: "Monomial") -> "Monomial":
-        self._check_ambient(other)
+        _check_ambient(self.n, other.n)
         return Monomial(tuple(max(a, b) for a, b in zip(self.exps, other.exps)))
 
     def __mul__(self, other: "Monomial") -> "Monomial":
-        self._check_ambient(other)
+        _check_ambient(self.n, other.n)
         return Monomial(tuple(a + b for a, b in zip(self.exps, other.exps)))
 
     def __pow__(self, k: int) -> "Monomial":
@@ -325,14 +337,9 @@ class MonomialIdeal:
     def __init__(self, n: int, gens: Iterable[Monomial | Sequence[int]] = ()):
         rows = []
         for g in gens:
-            exps = g.exps if isinstance(g, Monomial) else tuple(int(e) for e in g)
-            if len(exps) != n:
-                raise AmbientMismatchError(
-                    f"generator of length {len(exps)} in ambient of size {n}"
-                )
+            exps = g.exps if isinstance(g, Monomial) else _exponents(g)
+            _check_ambient(n, len(exps))
             if exps:
-                if min(exps) < 0:
-                    raise ValueError(f"negative exponent in {exps}")
                 _check_exponent_bound(max(exps), n)
             rows.append(exps)
         self._init_from(n, _minimal_rows(np.array(rows, dtype=np.int64).reshape(len(rows), n)))
@@ -403,10 +410,6 @@ class MonomialIdeal:
         body = ", ".join(str(g) for g in self.gens)
         return f"MonomialIdeal(n={self.n}, gens=({body}))"
 
-    def _check_ambient(self, other: "MonomialIdeal") -> None:
-        if self.n != other.n:
-            raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {other.n}")
-
     # -- membership
 
     def contains(self, m: Monomial) -> bool:
@@ -421,8 +424,7 @@ class MonomialIdeal:
         top = int(self._arr.max(initial=0))
         clipped = []
         for m in monomials:
-            if m.n != self.n:
-                raise AmbientMismatchError(f"ambient sizes differ: {self.n} vs {m.n}")
+            _check_ambient(self.n, m.n)
             clipped.append([min(e, top) for e in m.exps])
         rows = np.array(clipped, dtype=np.int64)
         return self._contains_rows(rows.reshape(len(monomials), self.n))
@@ -449,17 +451,11 @@ class MonomialIdeal:
     # -- arithmetic
 
     def add(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_ambient(other)
-        if self.is_zero():
-            return other
-        if other.is_zero():
-            return self
+        _check_ambient(self.n, other.n)
         return MonomialIdeal._from_array(self.n, np.vstack([self._arr, other._arr]))
 
     def multiply(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.n)
+        _check_ambient(self.n, other.n)
         count = len(self._arr) * len(other._arr)
         _check_cap(count)
         top = int(self._arr.max(initial=0)) + int(other._arr.max(initial=0))
@@ -488,9 +484,7 @@ class MonomialIdeal:
         return chain[k]
 
     def intersect(self, other: "MonomialIdeal") -> "MonomialIdeal":
-        self._check_ambient(other)
-        if self.is_zero() or other.is_zero():
-            return MonomialIdeal.zero(self.n)
+        _check_ambient(self.n, other.n)
         count = len(self._arr) * len(other._arr)
         _check_cap(count)
         cand = np.maximum(self._arr[:, None, :], other._arr[None, :, :]).reshape(count, self.n)

@@ -13,9 +13,9 @@ import numpy as np
 from .covers import _decomposable_covers, cover_ideal, ordinary_power, symbolic_power
 from .graphs import MAX_VERTICES, Graph, GraphTooLargeError, cycle, path, triangle_tail
 from .monomials import (
-    AmbientMismatchError,
     Monomial,
     MonomialIdeal,
+    _check_ambient,
     _check_cap,
     _row_monomial,
     all_ones,
@@ -108,8 +108,7 @@ def nu(I: MonomialIdeal, m: int, F: Monomial) -> int:
     """
     if m < 0:
         raise ValueError("nu needs m >= 0")
-    if F.n != I.n:
-        raise AmbientMismatchError(f"ambient sizes differ: {F.n} vs {I.n}")
+    _check_ambient(F.n, I.n)
     P = I.power(m)
     if max(F.exps, default=0) > int(P._arr.max(initial=0)):
         return len(P)  # F divides no generator (and may not fit int64)
@@ -268,7 +267,7 @@ def staircase_ideal(n: int) -> MonomialIdeal:
     g_i = x_i x_{i+2} ... x_{i+n-1} (indices mod n) of the n-cycle:
     x_j divides g_i iff (j - i) mod n is even."""
     if n > MAX_VERTICES:
-        raise GraphTooLargeError(f"{n} vertices: graphs are limited to {MAX_VERTICES}")
+        raise GraphTooLargeError(n)
     if n < 3 or n % 2 == 0:
         raise ValueError("staircase ideal is defined for odd n >= 3")
     return MonomialIdeal(n, [[1 - (j - i) % n % 2 for j in range(n)] for i in range(n)])

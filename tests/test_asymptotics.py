@@ -288,6 +288,12 @@ class TestSdefectDegree:
         rep = sdefect_degree(two_triangles)
         assert rep.degree == 2 and rep.agrees
 
+    def test_c7_gets_no_fit_at_the_default_m_max(self):
+        # the period-2 fit of sdefect over m <= 8 does not stabilise, so the
+        # prediction (7 - 1) / 2 = 3 stands unconfirmed
+        rep = sdefect_degree(cycle(7))
+        assert (rep.degree, rep.fitted_degree, rep.agrees) == (3, None, False)
+
     def test_fit_agrees_on_the_connected_atlas(self, connected_atlas):
         # the 66 connected graphs on at most 6 vertices that meet the 2-cover
         # hypothesis; with m_max = 8, five of them get no fit

@@ -568,16 +568,21 @@ class TestInputErrors:
             (["cover-ideal", "--family", "C2"], "cycle needs at least three vertices"),
             (["cover-ideal", "--family", "P0"], "path needs at least one vertex"),
             (["cover-ideal", "--family", "T0"], "triangle tail needs at least one tail vertex"),
+            # argparse names the option of a malformed or empty range
+            (["verify", "kn", "--n", "abc"], "argument --n: expected k or lo..hi, got 'abc'"),
+            (["sdefect", "--family", "C5", "--m", "1.."], "argument --m: expected k or lo..hi, got '1..'"),
+            (["fit", "--family", "C5", "--m", "5..2"], "argument --m: empty range '5..2'"),
         ],
         ids=[
             "sdefect-m-zero", "fit-too-short", "fit-period-refused", "waldschmidt-edgeless",
             "family-K0", "family-C2", "family-P0", "family-T0",
+            "n-not-a-range", "m-no-end", "m-empty-range",
         ],
     )
     def test_refusal_message(self, capsys, argv, message):
         code, out, err = run(capsys, *argv)
         assert (code, out) == (EXIT_INPUT, "")
-        assert err.startswith("error: ") and message in err
+        assert err.startswith("error: ") and message in err and err.count("\n") == 1
 
     def test_empty_m_range(self, capsys):
         code, _, _ = run(capsys, "sdefect", "--family", "K3", "--m", "5..2")

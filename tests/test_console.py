@@ -60,6 +60,9 @@ CASES = [
     ("kn-n-past-bound", "verify kn --n 3..200 --m 2..3", 4, None),
     ("cycle-n-past-bound", "verify cycle --n 5..201 --m 2..3", 4, None),
     ("triangle-tail-n-past-bound", "verify triangle-tail --n 5..200", 4, None),
+    # chains of small levels: each level carries the rows held, not a re-sum of the chain
+    ("chain-K1-m50000", "sdefect --family K1 --m 50000", 0, {"sdefect": 0}),
+    ("chain-C3-m100000", "sdefect --family C3 --m 100000 --method cycle", 3, None),
 ]
 
 

@@ -35,7 +35,7 @@ from symdef.monomials import (
     all_ones,
     generator_cap,
 )
-from symdef.sdefect import staircase_ideal
+from symdef.sdefect import sdefect_brute, staircase_ideal
 
 
 def _relabeled(H: Graph, rng: random.Random) -> Graph:
@@ -97,8 +97,26 @@ def test_minimal_cover_rows_match_direct_enumeration(connected_atlas):
 
 
 def test_is_minimal_mcover_refuses_another_ring():
-    with pytest.raises(ValueError, match="monomial on 3 variables, graph on 5"):
+    with pytest.raises(ValueError, match="ambient sizes differ: 3 vs 5"):
         is_minimal_mcover(cycle(5), Monomial((1, 1, 1)), 2)
+
+
+def test_power_m_must_be_an_integer(monkeypatch):
+    # refused before any row is built, also an m of 2.0 whose int twin is cached
+    G = cycle(5)
+    symbolic_power(G, 2)
+
+    def unreachable(*args):
+        raise AssertionError("work started")
+
+    monkeypatch.setattr(covers, "_elimination_plan", unreachable)
+    monkeypatch.setattr(MonomialIdeal, "power", unreachable)
+    for m in (2.5, 2.0):
+        for call in (symbolic_power, ordinary_power):
+            with pytest.raises(TypeError):
+                call(G, m)
+        with pytest.raises(TypeError):
+            is_minimal_mcover(G, all_ones(5), m)
 
 
 def test_is_minimal_mcover_matches_direct_enumeration(connected_atlas):
@@ -286,6 +304,9 @@ def test_symbolic_powers_across_the_int8_boundary(m):
     # searches all of {0..m}^3 in Python ints
     K3 = complete(3)
     assert symbolic_power.__wrapped__(K3, m).gens == enumerate_minimal_mcovers(K3, m)
+    # cover-sum level m is held in int8 at 63 and int16 at 64; the K_n
+    # closed form is n k, plus 1 for even m, with k = (m - 1) // 2
+    assert sdefect_brute(K3, m).value == {63: 93, 64: 94}[m]
 
 
 @pytest.mark.parametrize("G", [path(2), complete(3)], ids=["P2", "K3"])
@@ -386,6 +407,17 @@ def test_cover_sum_chain_counts_the_levels_it_holds():
             _decomposable_covers(G, 100, cover_ideal(G))
         assert exc.value.candidates == 1035
     assert len(_decomposable_covers(G, 100, cover_ideal(G))[0]) == 101
+
+
+def test_cover_sum_chain_links_carry_the_rows_held():
+    # each link counts the rows of D_0 through its level, the count the
+    # cap reads before the next level
+    G = cycle(7)
+    J = cover_ideal(G)
+    _decomposable_covers(G, 6, J)
+    chain = _cover_sum_chains(G, J)
+    assert len(chain) == 7
+    assert [held for *_, held in chain] == list(itertools.accumulate(len(D) for D, *_ in chain))
 
 
 def test_cover_sum_chain_is_built_in_a_loop():

@@ -1,4 +1,5 @@
 """Monomial and monomial-ideal arithmetic."""
+import numpy as np
 import pytest
 
 from symdef import monomials
@@ -142,6 +143,14 @@ class TestArithmetic:
         I = MonomialIdeal(2, [M(1, 0)])
         assert I.multiply(MonomialIdeal.zero(2)).is_zero()
 
+    def test_zero_operand_on_either_side(self):
+        # the array path, with no shortcut: a sum keeps the other operand,
+        # an intersection or product is the zero ideal
+        I, Z = MonomialIdeal(2, [M(2, 0), M(1, 1)]), MonomialIdeal.zero(2)
+        assert I.add(Z) == Z.add(I) == I
+        assert I.intersect(Z) == Z.intersect(I) == Z.multiply(I) == Z
+        assert Z.add(Z) == Z.intersect(Z) == Z.multiply(Z) == Z
+
     def test_ambient_mismatch(self):
         with pytest.raises(AmbientMismatchError):
             MonomialIdeal(2, [M(1, 0)]).multiply(MonomialIdeal(3, [M(1, 0, 0)]))
@@ -156,15 +165,34 @@ class TestArithmetic:
 @pytest.mark.parametrize(
     "call, error, message",
     [
-        (lambda: MonomialIdeal(2, [(1, 2, 3)]), AmbientMismatchError, "length 3 in ambient"),
+        (lambda: MonomialIdeal(2, [(1, 2, 3)]), AmbientMismatchError, "ambient sizes differ: 2 vs 3"),
         (lambda: MonomialIdeal(2, [M(1, 0)]).power(-1), ValueError, "negative ideal power"),
         (lambda: MonomialIdeal(3, [M(1, 1, 0)]).delete_variable(5), ValueError, "index 5 out of"),
+        # a float is refused, not truncated
+        (lambda: M(1.7, 2), TypeError, "'float' object cannot be interpreted as an integer"),
+        (lambda: MonomialIdeal(2, [(1.5, 0)]), TypeError, "'float' object cannot be"),
+        (lambda: _enter_cap(2.5), TypeError, "'float' object cannot be"),
     ],
-    ids=["ambient-mismatch", "negative-power", "delete-missing-variable"],
+    ids=[
+        "ambient-mismatch", "negative-power", "delete-missing-variable",
+        "float-exponent", "float-row", "float-cap",
+    ],
 )
 def test_refusal(call, error, message):
     with pytest.raises(error, match=message):
         call()
+
+
+def _enter_cap(cap):
+    with generator_cap(cap):
+        pass
+
+
+def test_integer_types_are_read_as_ints():
+    # numpy integers pass, and are stored as Python ints
+    g = Monomial((np.int64(2), np.uint8(1)))
+    assert g.exps == (2, 1) and all(type(e) is int for e in g.exps)
+    assert MonomialIdeal(2, [np.array([2, 1])]).gens == (g,)
 
 
 class TestExponentBound:

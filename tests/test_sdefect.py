@@ -144,7 +144,7 @@ class TestBruteWithoutOrdinaryPower:
         count = sum(int((last <= j).sum()) for j in range(len(J)))
         assert count == 125
         # the rows held before level 4 count first, and stay below the pairs
-        assert sum(len(D) for D, _ in _cover_sum_chains(G, J)[:4]) == 71
+        assert sum(len(D) for D, _, _ in _cover_sum_chains(G, J)[:4]) == 71
         expected = _decomposable_covers(G, 4, J)
         # each cap keeps a chain of its own: every level is built under the cap
         with generator_cap(count - 1):
@@ -168,7 +168,7 @@ class TestBruteWithoutOrdinaryPower:
             assert [sdefect_brute(G, m).witnesses for m in range(1, 7)] == expected
             blocked = _cover_sum_chains(G, J)
             assert len(blocked) == len(levels) == 7
-            for (D, last), (D1, last1) in zip(levels, blocked):
+            for (D, last, _), (D1, last1, _) in zip(levels, blocked):
                 assert np.array_equal(D, D1) and np.array_equal(last, last1)
         finally:
             _cover_sum_chains.cache_clear()
